@@ -8,6 +8,8 @@ cycles that span applications have no load order and are hard errors.
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, DiagnosticBag, ToolError
@@ -45,12 +47,6 @@ class ModuleGraph:
         for edge in self.edges:
             out[edge.src].append(edge)
         return out
-
-    def incoming(self) -> dict[tuple[str, str], list[Edge]]:
-        inc: dict[tuple[str, str], list[Edge]] = {key: [] for key in self.nodes}
-        for edge in self.edges:
-            inc[edge.dst].append(edge)
-        return inc
 
 
 def node_label(key: tuple[str, str]) -> str:
@@ -249,6 +245,51 @@ def fetch_units(g: ModuleGraph):
     return units, unit_edges, unit_of
 
 
+def topological_order(succs: dict, starts: Iterable, key: Callable | None = None) -> list:
+    """Kahn's algorithm over the nodes reachable from `starts` along `succs`.
+
+    Among ready nodes the one with the smallest key goes first (the node
+    itself when no key is given), so the order is deterministic. Raises
+    E-CYCLIC when those nodes hold a cycle.
+    """
+    pending = dict.fromkeys(starts, 0)
+    frontier = list(pending)
+    while frontier:
+        for v in succs.get(frontier.pop(), ()):
+            if v not in pending:
+                pending[v] = 0
+                frontier.append(v)
+    for u in pending:
+        for v in succs.get(u, ()):
+            pending[v] += 1
+    rank = key or (lambda u: u)
+    ready = [(rank(u), u) for u, count in pending.items() if count == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        u = heapq.heappop(ready)[1]
+        order.append(u)
+        for v in succs.get(u, ()):
+            pending[v] -= 1
+            if pending[v] == 0:
+                heapq.heappush(ready, (rank(v), v))
+    if len(order) != len(pending):
+        raise ToolError("E-CYCLIC", "dependency graph has a cycle")
+    return order
+
+
+def longest_path(succs: dict, starts: list) -> int:
+    """Nodes on the longest path that begins in `starts`, over the DAG `succs`.
+
+    Iterative over a topological order, so a chain of any length fits.
+    """
+    depth = dict.fromkeys(starts, 1)
+    for u in topological_order(succs, starts):
+        for v in succs.get(u, ()):
+            depth[v] = max(depth.get(v, 0), depth[u] + 1)
+    return max(depth.values(), default=0)
+
+
 def waterfall_depth(g: ModuleGraph) -> int:
     """Sequential fetch rounds of a naive lazy loader along its worst chain.
 
@@ -262,15 +303,7 @@ def waterfall_depth(g: ModuleGraph) -> int:
     succs: dict[int, set[int]] = {}
     for a, b, _ in unit_edges:
         succs.setdefault(a, set()).add(b)
-    memo: dict[int, int] = {}
-
-    def depth_from(u: int) -> int:
-        if u in memo:
-            return memo[u]
-        memo[u] = 1 + max((depth_from(v) for v in sorted(succs.get(u, ()))), default=0)
-        return memo[u]
-
-    return depth_from(unit_of[g.root])
+    return longest_path(succs, [unit_of[g.root]])
 
 
 def detect_cycles(g: ModuleGraph) -> list[list[tuple[str, str]]]:

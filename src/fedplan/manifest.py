@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .diagnostics import Diagnostic, DiagnosticBag, ToolError
-from .interfaces import TypeExpr, parse_type_node, serialize_type_node
+from .interfaces import TypeExpr, _reject_duplicate_keys, parse_type_node, serialize_type_node
 from .semver import (
     Version,
     VersionRange,
@@ -140,15 +140,6 @@ _SHARED_KEYS = {
     "sizeBytes",
 }
 _EXPECT_KEYS = {"target", "interface"}
-
-
-def _reject_duplicate_keys(pairs):
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise ToolError("E-SYNTAX", f"duplicate key {key!r} in object")
-        seen.add(key)
-    return dict(pairs)
 
 
 def _require(obj: dict, key: str, path: str):

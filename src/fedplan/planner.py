@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 
 from .diagnostics import ToolError
-from .graph import ModuleGraph, fetch_units, node_label, reachable_set
+from .graph import ModuleGraph, fetch_units, longest_path, node_label, reachable_set, topological_order
 from .shares import ShareResolution
 
 MANIFEST_PSEUDO_MODULE = "__manifest__"
@@ -64,9 +64,6 @@ class LoadPlan:
     requests: tuple[FetchRequest, ...]
     duplicate_bytes: int
     root_key: tuple[str, str]
-
-    def request(self, request_id: int) -> FetchRequest:
-        return self.requests[request_id]
 
     def to_json(self) -> dict:
         return {
@@ -121,7 +118,6 @@ def _eager_duplicate_bytes(res: ShareResolution, apps: list[str]) -> int:
 
 def _plan_lazy(g: ModuleGraph, res: ShareResolution) -> LoadPlan:
     units, unit_edges, unit_of = fetch_units(g)
-    root_unit = unit_of[g.root]
 
     succs: dict[int, set[int]] = {}
     preds: dict[int, set[int]] = {}
@@ -131,29 +127,9 @@ def _plan_lazy(g: ModuleGraph, res: ShareResolution) -> LoadPlan:
         preds.setdefault(b, set()).add(a)
         edge_modes.setdefault((a, b), set()).add(mode)
 
-    reached = {root_unit}
-    frontier = [root_unit]
-    while frontier:
-        u = frontier.pop()
-        for v in succs.get(u, set()):
-            if v not in reached:
-                reached.add(v)
-                frontier.append(v)
-
-    # Deterministic ids in causal order: Kahn's algorithm with a sorted frontier.
-    pending = {u: len(preds.get(u, set()) & reached) for u in reached}
-    ready = sorted((u for u in reached if pending[u] == 0), key=lambda u: units[u][0])
-    order: list[int] = []
-    while ready:
-        u = ready.pop(0)
-        order.append(u)
-        for v in sorted(succs.get(u, set()) & reached, key=lambda v: units[v][0]):
-            pending[v] -= 1
-            if pending[v] == 0:
-                ready.append(v)
-        ready.sort(key=lambda u: units[u][0])
-    if len(order) != len(reached):
-        raise ToolError("E-CYCLIC", "fetch units do not form a DAG")
+    # Deterministic ids in causal order: the ready unit with the smallest first key goes first.
+    order = topological_order(succs, [unit_of[g.root]], key=lambda u: units[u][0])
+    reached = set(order)
 
     request_id = {u: i for i, u in enumerate(order)}
     requests = []
@@ -303,14 +279,8 @@ def plan(
 
 def longest_chain(p: LoadPlan) -> int:
     """Length in requests of the longest dependsOn chain."""
-    memo: dict[int, int] = {}
-    by_id = {r.id: r for r in p.requests}
-
-    def depth(rid: int) -> int:
-        if rid in memo:
-            return memo[rid]
-        request = by_id[rid]
-        memo[rid] = 1 + max((depth(d) for d in sorted(request.depends_on)), default=0)
-        return memo[rid]
-
-    return max((depth(r.id) for r in p.requests), default=0)
+    succs: dict[int, list[int]] = {}
+    for r in p.requests:
+        for dep in r.depends_on:
+            succs.setdefault(dep, []).append(r.id)
+    return longest_path(succs, [r.id for r in p.requests])

@@ -1,20 +1,30 @@
 """Deterministic discrete-event simulation of a load plan over a network model.
 
 Bandwidth is processor-shared: every in-flight transfer receives an equal
-slice of the link, and completion horizons are recomputed at each start or
-finish event. That is what makes prefetch bursts pay a visible cost instead
-of getting free infinite parallelism.
+slice of the link. That is what makes prefetch bursts pay a visible cost
+instead of getting free infinite parallelism.
+
+Sharing runs on a virtual clock, as in generalized processor sharing
+(Demers, Keshav & Shenker 1989; Parekh & Gallager 1993). The clock v
+advances at bandwidth / (transfers in flight); a transfer that starts at v0
+ends when v reaches its finish tag v0 + size. Pending events sit in four
+heaps keyed (time, id), and each pass of the loop jumps to the earliest one
+and retires it, so no byte count is drained per flow and the run ends after
+a bounded number of passes whatever the float rounding.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
 from .diagnostics import ToolError
-from .graph import ModuleGraph
+from .graph import ModuleGraph, node_label
 from .planner import LoadPlan, LoadStrategy, longest_chain, plan, required_bytes
 from .shares import ShareResolution
 
+# Events this close (ms, or bytes of virtual time) count as one instant.
 _EPS = 1e-9
 
 ALL_STRATEGIES = (
@@ -133,6 +143,9 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
     requests = {r.id: r for r in p.requests}
     if not requests:
         return SimReport(p.strategy, 0.0, 0.0, 0, 0, 0, 0, ())
+    root_request = next((r.id for r in p.requests if p.root_key in r.payload), None)
+    if root_request is None:
+        raise ToolError("E-UNPLANNABLE", f"no request carries the root {node_label(p.root_key)}")
 
     is_ssr = p.strategy is LoadStrategy.SSR
     compose = net.server_compose_ms if is_ssr else 0.0
@@ -140,6 +153,9 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
 
     def parse_ms(size: int) -> float:
         return size / 1000.0 * net.parse_ms_per_kb * parse_factor
+
+    def eligible(rid: int, t: float) -> tuple[float, int]:
+        return (t + (net.interaction_delay_ms if requests[rid].dynamic_trigger else 0.0), rid)
 
     children: dict[int, list[int]] = {rid: [] for rid in requests}
     blocked_on: dict[int, int] = {}
@@ -150,14 +166,11 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
                 raise ToolError("E-DEADLOCK", f"request {r.id} depends on unknown request {dep}")
             children[dep].append(r.id)
 
-    ready: list[tuple[float, int]] = sorted(
-        (0.0 + (net.interaction_delay_ms if requests[rid].dynamic_trigger else 0.0), rid)
-        for rid, count in blocked_on.items()
-        if count == 0
-    )
-    latency: dict[int, float] = {}  # id -> transfer start time
-    flows: dict[int, float] = {}  # id -> remaining bytes
-    parsing: dict[int, float] = {}  # id -> parse done time
+    ready = [eligible(rid, 0.0) for rid, count in blocked_on.items() if count == 0]
+    heapq.heapify(ready)
+    latency: list[tuple[float, int]] = []  # headers arrive, transfer starts
+    flows: list[tuple[float, int]] = []  # virtual finish tag v0 + size
+    parsing: list[tuple[float, int]] = []  # parse completes
 
     start_at: dict[int, float] = {}
     headers_at: dict[int, float] = {}
@@ -167,51 +180,37 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
     in_flight = 0
     max_in_flight = 0
     t = 0.0
+    v = 0.0
 
-    def rate() -> float:
-        return net.bandwidth_bytes_per_ms / len(flows)
-
-    while len(parse_done_at) < len(requests):
+    while True:
+        # Within one instant: finishes, header arrivals, parse completions,
+        # then FIFO dispatch, repeated until nothing fires.
         progressed = True
         while progressed:
             progressed = False
-
-            finished = sorted(rid for rid, remaining in flows.items() if remaining <= _EPS)
-            for rid in finished:
-                del flows[rid]
+            while flows and flows[0][0] <= v + _EPS:
+                rid = heapq.heappop(flows)[1]
                 done_at[rid] = t
-                parsing[rid] = t + parse_ms(requests[rid].size_bytes)
+                heapq.heappush(parsing, (t + parse_ms(requests[rid].size_bytes), rid))
                 in_flight -= 1
                 progressed = True
-
-            begun = sorted(rid for rid, begin in latency.items() if begin <= t + _EPS)
-            for rid in begun:
-                del latency[rid]
-                flows[rid] = float(requests[rid].size_bytes)
+            while latency and latency[0][0] <= t + _EPS:
+                rid = heapq.heappop(latency)[1]
+                heapq.heappush(flows, (v + requests[rid].size_bytes, rid))
                 progressed = True
-
-            parsed = sorted(rid for rid, when in parsing.items() if when <= t + _EPS)
-            for rid in parsed:
-                del parsing[rid]
+            while parsing and parsing[0][0] <= t + _EPS:
+                rid = heapq.heappop(parsing)[1]
                 parse_done_at[rid] = t
                 for child in children[rid]:
                     blocked_on[child] -= 1
                     if blocked_on[child] == 0:
-                        delay = (
-                            net.interaction_delay_ms
-                            if requests[child].dynamic_trigger
-                            else 0.0
-                        )
-                        ready.append((t + delay, child))
+                        heapq.heappush(ready, eligible(child, t))
                 progressed = True
-            if parsed:
-                ready.sort()
-
             while in_flight < net.max_concurrent and ready and ready[0][0] <= t + _EPS:
-                eligible, rid = ready.pop(0)
+                rid = heapq.heappop(ready)[1]
                 start_at[rid] = t
                 headers_at[rid] = t + net.rtt_ms + compose
-                latency[rid] = headers_at[rid]
+                heapq.heappush(latency, (headers_at[rid], rid))
                 in_flight += 1
                 max_in_flight = max(max_in_flight, in_flight)
                 progressed = True
@@ -219,23 +218,21 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
         if len(parse_done_at) == len(requests):
             break
 
-        candidates = []
-        if in_flight < net.max_concurrent and ready:
-            candidates.append(ready[0][0])
-        if latency:
-            candidates.append(min(latency.values()))
+        # Jump to the next event. When it is a flow finish, v lands on that
+        # flow's tag exactly, so every pass retires at least one event.
+        heads = [heap[0][0] for heap in (latency, parsing) if heap]
+        if ready and in_flight < net.max_concurrent:
+            heads.append(ready[0][0])
+        t_next = min(heads, default=math.inf)
         if flows:
-            candidates.append(t + min(flows.values()) / rate())
-        if parsing:
-            candidates.append(min(parsing.values()))
-        if not candidates:
+            rate = net.bandwidth_bytes_per_ms / len(flows)
+            t_flow = t + (flows[0][0] - v) / rate
+            if t_flow <= t_next:
+                t_next, v = t_flow, flows[0][0]
+            else:
+                v += (t_next - t) * rate
+        elif not heads:
             raise ToolError("E-DEADLOCK", "no runnable request; dependsOn cycle in plan")
-
-        t_next = max(t, min(candidates))
-        if flows and t_next > t:
-            drained = (t_next - t) * rate()
-            for rid in flows:
-                flows[rid] -= drained
         t = t_next
 
     timeline = tuple(
@@ -249,7 +246,6 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
         )
         for rid in sorted(requests, key=lambda rid: (start_at[rid], rid))
     )
-    root_request = next(r.id for r in p.requests if p.root_key in r.payload)
     return SimReport(
         strategy=p.strategy,
         time_to_first_render_ms=parse_done_at[root_request],

@@ -3,13 +3,16 @@
 Everything here is deliberately written against the declared semantics, not
 the library's internals: the range oracle evaluates comparator predicates
 directly on integer triples, the subtype oracle re-derives the rules
-case by case, and the fluid integrator steps time forward instead of jumping
-between events.
+case by case, the fluid integrator steps time forward instead of jumping
+between events, and the exact simulator drains every flow byte count in
+rational arithmetic instead of keeping a virtual clock.
 """
 
 from __future__ import annotations
 
+import bisect
 import re
+from fractions import Fraction
 
 _ATOM = re.compile(r"^(>=|<=|>|<|=|\^|~)?(\d+)\.(\d+)\.(\d+)$")
 
@@ -247,3 +250,80 @@ def fluid_integrate(load_plan, net, dt: float = 0.05, horizon: float = 1e6):
     return {
         rid: (start_at[rid], done_at[rid], parse_done_at[rid]) for rid in requests
     }
+
+
+def exact_simulate(load_plan, net) -> dict:
+    """Rational-time reference for `fedplan.simulator.simulate`.
+
+    Returns {request id: (start, headers, done, parse done)} as Fractions.
+    Within one instant it keeps the engine's phase order: transfer finishes,
+    header arrivals, parse completions, then FIFO dispatch, repeated until
+    nothing fires. Every time and byte count is exact, so events at the same
+    instant compare equal and no tolerance is needed.
+    """
+    from fedplan.planner import LoadStrategy
+
+    is_ssr = load_plan.strategy is LoadStrategy.SSR
+    latency_ms = Fraction(net.rtt_ms) + (Fraction(net.server_compose_ms) if is_ssr else 0)
+    factor = Fraction(net.hydration_factor) if is_ssr else Fraction(1)
+    parse_per_byte = Fraction(net.parse_ms_per_kb) * factor / 1000
+    bandwidth = Fraction(net.bandwidth_bytes_per_ms)
+
+    requests = {r.id: r for r in load_plan.requests}
+
+    def delay(rid: int) -> Fraction:
+        return Fraction(net.interaction_delay_ms if requests[rid].dynamic_trigger else 0)
+
+    blocked = {rid: set(r.depends_on) for rid, r in requests.items() if r.depends_on}
+    queue = sorted((delay(rid), rid) for rid in requests if rid not in blocked)
+    latency: dict[int, Fraction] = {}  # headers time
+    flows: dict[int, Fraction] = {}  # bytes left
+    parsing: dict[int, Fraction] = {}  # parse done time
+    times: dict[int, list] = {rid: [None] * 4 for rid in requests}
+    parsed = 0
+
+    t = Fraction(0)
+    while parsed < len(requests):
+        progressed = True
+        while progressed:
+            progressed = False
+            for rid in sorted(r for r, left in flows.items() if left == 0):
+                del flows[rid]
+                times[rid][2] = t
+                parsing[rid] = t + requests[rid].size_bytes * parse_per_byte
+                progressed = True
+            for rid in sorted(r for r, when in latency.items() if when <= t):
+                del latency[rid]
+                flows[rid] = Fraction(requests[rid].size_bytes)
+                progressed = True
+            for rid in sorted(r for r, when in parsing.items() if when <= t):
+                del parsing[rid]
+                times[rid][3] = t
+                parsed += 1
+                for child in sorted(blocked):
+                    blocked[child].discard(rid)
+                    if not blocked[child]:
+                        del blocked[child]
+                        bisect.insort(queue, (t + delay(child), child))
+                progressed = True
+            while queue and queue[0][0] <= t and len(latency) + len(flows) < net.max_concurrent:
+                _, rid = queue.pop(0)
+                times[rid][0] = t
+                times[rid][1] = latency[rid] = t + latency_ms
+                progressed = True
+        if parsed == len(requests):
+            break
+
+        candidates = list(latency.values()) + list(parsing.values())
+        if queue and len(latency) + len(flows) < net.max_concurrent:
+            candidates.append(queue[0][0])
+        if flows:
+            candidates.append(t + min(flows.values()) * len(flows) / bandwidth)
+        if not candidates:
+            raise RuntimeError("no runnable request")
+        t_next = min(candidates)
+        for rid in flows:
+            flows[rid] -= (t_next - t) * bandwidth / len(flows)
+        t = t_next
+
+    return {rid: tuple(entry) for rid, entry in times.items()}

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from fedplan.graph import build_graph, waterfall_depth
+from fedplan.graph import Edge, ModuleGraph, ModuleNode, build_graph, waterfall_depth
 from fedplan.manifest import load_workspace
 from fedplan.planner import (
     LoadStrategy,
@@ -184,3 +184,13 @@ def test_lazy_contracts_intra_app_cycles():
     assert cycle_request.payload == {("host", "./a"), ("host", "./b")}
     assert cycle_request.size_bytes == 500
     assert longest_chain(p) == waterfall_depth(g) == 2
+
+
+def test_long_chain_depth_without_recursion():
+    n = 1200
+    keys = [("a", f"m{i:04d}") for i in range(n)]
+    nodes = {key: ModuleNode(key, 100, "internal") for key in keys}
+    edges = tuple(Edge(a, b, "static") for a, b in zip(keys, keys[1:]))
+    g = ModuleGraph(nodes, edges, keys[0])
+    assert waterfall_depth(g) == n
+    assert longest_chain(plan(g, empty_resolution(), LoadStrategy.LAZY)) == n

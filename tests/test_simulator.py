@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import math
 import random
+import signal
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedplan.diagnostics import ToolError
 from fedplan.graph import Edge, ModuleGraph, ModuleNode, build_graph, waterfall_depth
@@ -12,7 +17,7 @@ from fedplan.shares import build_share_scope, empty_resolution, resolve_shares
 from fedplan.simulator import NetworkModel, compare_strategies, network_from_json, simulate
 
 from conftest import FIXTURES
-from oracles import fluid_integrate
+from oracles import exact_simulate, fluid_integrate
 
 FAST_NET = NetworkModel(rtt_ms=100, bandwidth_bytes_per_ms=100, max_concurrent=6, parse_ms_per_kb=0)
 
@@ -299,3 +304,90 @@ def test_random_plans_respect_cap_causality_conservation():
             assert entry.start_ms <= entry.headers_ms <= entry.done_ms <= entry.parse_done_ms
             for dep in r.depends_on:
                 assert entry.start_ms >= parse_done[dep] - 1e-9
+
+
+def test_missing_root_request_is_a_diagnostic():
+    p = make_plan([request(0, [("a", "other")], 100)], root=("a", "root"))
+    with pytest.raises(ToolError) as err:
+        simulate(p, FAST_NET)
+    assert err.value.code == "E-UNPLANNABLE"
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail, rather than hang, when the block is still running after `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_matches_exact(p, net, report):
+    exact = exact_simulate(p, net)
+    assert len(report.timeline) == len(exact)
+    for entry in report.timeline:
+        got = (entry.start_ms, entry.headers_ms, entry.done_ms, entry.parse_done_ms)
+        for value, want in zip(got, exact[entry.request_id]):
+            assert math.isclose(value, want, rel_tol=1e-9, abs_tol=1e-9), (entry, want)
+
+
+def _tenths(lo: int, hi: int):
+    return st.integers(lo, hi).map(lambda x: x / 10)
+
+
+@st.composite
+def _plans_and_nets(draw):
+    n = draw(st.integers(1, 60))
+    requests = [
+        request(
+            i,
+            [("a", f"m{i}")],
+            draw(st.integers(0, 9000)),
+            deps=draw(st.sets(st.integers(0, i - 1), max_size=4)) if i else (),
+            dynamic=draw(st.booleans()),
+        )
+        for i in range(n)
+    ]
+    net = NetworkModel(
+        rtt_ms=draw(_tenths(0, 2000)),
+        bandwidth_bytes_per_ms=draw(_tenths(10, 20000)),
+        max_concurrent=draw(st.integers(1, 8)),
+        parse_ms_per_kb=draw(_tenths(0, 30)),
+        server_compose_ms=draw(_tenths(0, 500)),
+        hydration_factor=draw(_tenths(10, 20)),
+        interaction_delay_ms=draw(_tenths(0, 3000)),
+    )
+    strategy = draw(st.sampled_from(list(LoadStrategy)))
+    return make_plan(requests, strategy=strategy, root=("a", "m0")), net
+
+
+# Drawing a 60-request plan can be slow on a loaded host; that is not a failure.
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_plans_and_nets())
+def test_engine_matches_exact_reference(case):
+    p, net = case
+    with deadline(10):
+        report = simulate(p, net)
+    assert_matches_exact(p, net, report)
+
+
+def test_flat_prefetch_1000_requests_ends_and_matches_exact():
+    # Long runs of parallel flows: a flow's last step can be below one ulp of
+    # t, so the loop must end without draining bytes per flow in floats.
+    rng = random.Random(0)
+    p = make_plan(
+        [request(i, [("a", f"m{i}")], rng.randint(500, 8000)) for i in range(1000)],
+        strategy=LoadStrategy.PREFETCH,
+        root=("a", "m0"),
+    )
+    net = NetworkModel(rtt_ms=60, bandwidth_bytes_per_ms=1500, max_concurrent=6)
+    with deadline(10):
+        report = simulate(p, net)
+    assert_matches_exact(p, net, report)
