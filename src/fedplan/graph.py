@@ -9,7 +9,7 @@ cycles that span applications have no load order and are hard errors.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, DiagnosticBag, ToolError
@@ -245,12 +245,11 @@ def fetch_units(g: ModuleGraph):
     return units, unit_edges, unit_of
 
 
-def topological_order(succs: dict, starts: Iterable, key: Callable | None = None) -> list:
+def topological_order(succs: dict, starts: Iterable) -> list:
     """Kahn's algorithm over the nodes reachable from `starts` along `succs`.
 
-    Among ready nodes the one with the smallest key goes first (the node
-    itself when no key is given), so the order is deterministic. Raises
-    E-CYCLIC when those nodes hold a cycle.
+    Among ready nodes the smallest goes first, so the order is deterministic.
+    Raises E-CYCLIC when those nodes hold a cycle.
     """
     pending = dict.fromkeys(starts, 0)
     frontier = list(pending)
@@ -262,17 +261,16 @@ def topological_order(succs: dict, starts: Iterable, key: Callable | None = None
     for u in pending:
         for v in succs.get(u, ()):
             pending[v] += 1
-    rank = key or (lambda u: u)
-    ready = [(rank(u), u) for u, count in pending.items() if count == 0]
+    ready = [u for u, count in pending.items() if count == 0]
     heapq.heapify(ready)
     order = []
     while ready:
-        u = heapq.heappop(ready)[1]
+        u = heapq.heappop(ready)
         order.append(u)
         for v in succs.get(u, ()):
             pending[v] -= 1
             if pending[v] == 0:
-                heapq.heappush(ready, (rank(v), v))
+                heapq.heappush(ready, v)
     if len(order) != len(pending):
         raise ToolError("E-CYCLIC", "dependency graph has a cycle")
     return order

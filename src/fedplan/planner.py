@@ -127,8 +127,9 @@ def _plan_lazy(g: ModuleGraph, res: ShareResolution) -> LoadPlan:
         preds.setdefault(b, set()).add(a)
         edge_modes.setdefault((a, b), set()).add(mode)
 
-    # Deterministic ids in causal order: the ready unit with the smallest first key goes first.
-    order = topological_order(succs, [unit_of[g.root]], key=lambda u: units[u][0])
+    # Deterministic ids in causal order: unit ids already follow the units'
+    # first keys, so the smallest ready unit is the one with the smallest key.
+    order = topological_order(succs, [unit_of[g.root]])
     reached = set(order)
 
     request_id = {u: i for i, u in enumerate(order)}
