@@ -3,7 +3,7 @@
 Exit codes: 0 when the analysis found no errors, 1 when diagnostics of
 severity error were produced (validation failures, share conflicts, type
 mismatches), 2 for usage and IO failures (bad arguments, unreadable files,
-malformed network configs).
+malformed network configs, a stdout pipe whose reader has gone away).
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ import os
 import sys
 
 from .diagnostics import Diagnostic, ERROR, ToolError, has_errors
-from .graph import build_graph, export_dot, graph_to_json
+from .graph import ModuleGraph, build_graph, export_dot, graph_to_json
 from .interfaces import check_compatibility, collect_expectations
 from .manifest import Workspace, load_workspace, validate_workspace
 from .planner import DEFAULT_MANIFEST_BYTES, LoadStrategy, plan
-from .shares import build_share_scope, resolve_shares
-from .simulator import ALL_STRATEGIES, network_from_json, simulate
+from .shares import ShareResolution, build_share_scope, resolve_shares
+from .simulator import ALL_STRATEGIES, SimReport, network_from_json, simulate
 from .trace import export_jsonl, from_sim
 
 _USAGE_CODES = {"E-IO", "E-BAD-NET"}
@@ -38,14 +38,18 @@ def _paint(severity: str, text: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
+class _Failed(Exception):
+    """Error diagnostics that end a subcommand with exit code 1."""
+
+    def __init__(self, diagnostics: list[Diagnostic]) -> None:
+        super().__init__()
+        self.diagnostics = diagnostics
+
+
 class _Output:
     def __init__(self, args: argparse.Namespace) -> None:
-        self.fmt = getattr(args, "format", "table")
-        self.quiet = getattr(args, "quiet", False)
-
-    @property
-    def json_mode(self) -> bool:
-        return self.fmt == "json"
+        self.json_mode = args.format == "json"
+        self.quiet = args.quiet
 
     def emit_json(self, doc) -> None:
         print(json.dumps(doc, indent=2))
@@ -77,31 +81,22 @@ def _fmt_ms(value: float) -> str:
     return f"{value:g}"
 
 
-def _finish_diagnostics(out: _Output, diags: list[Diagnostic], extra: dict | None = None) -> int:
-    """Emit diagnostics in the active mode and map them to an exit code."""
-    if out.json_mode:
-        doc = {"diagnostics": [d.to_json() for d in diags]}
-        if extra:
-            doc.update(extra)
-        out.emit_json(doc)
-    else:
-        out.emit_diagnostics(diags)
-    return 1 if has_errors(diags) else 0
-
-
-def _load_checked(args, out: _Output) -> tuple[Workspace, list[Diagnostic]] | int:
-    """Load + validate the workspace; on errors, report and return exit code 1."""
+def _load(args) -> tuple[Workspace, list[Diagnostic]]:
+    """Load and validate the workspace."""
     w, diags = load_workspace(args.host)
-    diags = diags + validate_workspace(w)
+    return w, diags + validate_workspace(w)
+
+
+def _load_checked(args) -> tuple[Workspace, list[Diagnostic]]:
+    """Load and validate the workspace; validation errors end the command."""
+    w, diags = _load(args)
     if has_errors(diags):
-        return _finish_diagnostics(out, diags)
+        raise _Failed(diags)
     return w, diags
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    out = _Output(args)
-    w, diags = load_workspace(args.host)
-    diags = diags + validate_workspace(w)
+def cmd_validate(args: argparse.Namespace, out: _Output) -> int:
+    w, diags = _load(args)
     apps = [a.name for a in w.applications()]
     if out.json_mode:
         out.emit_json({"applications": apps, "diagnostics": [d.to_json() for d in diags]})
@@ -116,38 +111,27 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 1 if has_errors(diags) else 0
 
 
-def _analysis(args, out: _Output):
+def _analysis(args, out: _Output) -> tuple[ShareResolution, ModuleGraph]:
     """Shared pipeline: workspace -> share resolution -> module graph."""
-    loaded = _load_checked(args, out)
-    if isinstance(loaded, int):
-        return loaded
-    w, diags = loaded
+    w, diags = _load_checked(args)
     res = resolve_shares(build_share_scope(w))
     g, graph_warnings = build_graph(w, res)
     if not out.json_mode:
         out.emit_diagnostics(diags + graph_warnings)
-    return w, res, g
+    return res, g
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
-    out = _Output(args)
-    result = _analysis(args, out)
-    if isinstance(result, int):
-        return result
-    _, _, g = result
-    if args.format == "json":
+def cmd_graph(args: argparse.Namespace, out: _Output) -> int:
+    _, g = _analysis(args, out)
+    if out.json_mode:
         out.emit_json(graph_to_json(g))
     else:
         print(export_dot(g), end="")
     return 0
 
 
-def cmd_resolve_shared(args: argparse.Namespace) -> int:
-    out = _Output(args)
-    loaded = _load_checked(args, out)
-    if isinstance(loaded, int):
-        return loaded
-    w, diags = loaded
+def cmd_resolve_shared(args: argparse.Namespace, out: _Output) -> int:
+    w, diags = _load_checked(args)
     res = resolve_shares(build_share_scope(w))
     if out.json_mode:
         out.emit_json(res.to_json())
@@ -158,12 +142,11 @@ def cmd_resolve_shared(args: argparse.Namespace) -> int:
             for pkg, (version, provider) in res.bindings.items()
         ]
         out.emit_table(["package", "version", "provider"], rows)
-        for c in res.conflicts:
-            print(
-                _paint(c.severity, f"{c.severity} {c.code} {c.package}@{c.application}: "
-                f"requires {c.required_range}, chose {c.chosen_version}"),
-                file=sys.stderr,
-            )
+        out.emit_diagnostics([
+            Diagnostic(c.code, c.severity, f"{c.package}@{c.application}",
+                       f"requires {c.required_range}, chose {c.chosen_version}")
+            for c in res.conflicts
+        ])
         if res.fallbacks:
             out.emit_line(
                 "fallbacks: "
@@ -173,12 +156,8 @@ def cmd_resolve_shared(args: argparse.Namespace) -> int:
     return 1 if any(c.severity == ERROR for c in res.conflicts) else 0
 
 
-def cmd_check_types(args: argparse.Namespace) -> int:
-    out = _Output(args)
-    loaded = _load_checked(args, out)
-    if isinstance(loaded, int):
-        return loaded
-    w, diags = loaded
+def cmd_check_types(args: argparse.Namespace, out: _Output) -> int:
+    w, diags = _load_checked(args)
     type_diags = check_compatibility(w, collect_expectations(w), strict_types=args.strict_types)
     if out.json_mode:
         out.emit_json({"diagnostics": [d.to_json() for d in type_diags]})
@@ -188,12 +167,8 @@ def cmd_check_types(args: argparse.Namespace) -> int:
     return 1 if has_errors(type_diags) else 0
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
-    out = _Output(args)
-    result = _analysis(args, out)
-    if isinstance(result, int):
-        return result
-    _, res, g = result
+def cmd_plan(args: argparse.Namespace, out: _Output) -> int:
+    res, g = _analysis(args, out)
     built = plan(g, res, LoadStrategy(args.strategy), manifest_bytes=args.manifest_bytes)
     if out.json_mode:
         out.emit_json(built.to_json())
@@ -222,6 +197,13 @@ def _read_network(path: str):
     return network_from_json(doc)
 
 
+def _simulated(args, out: _Output, strategies) -> list[SimReport]:
+    """Plan and simulate each strategy over `--net`, which is read before the workspace."""
+    net = _read_network(args.net)
+    res, g = _analysis(args, out)
+    return [simulate(plan(g, res, s, manifest_bytes=args.manifest_bytes), net) for s in strategies]
+
+
 def _report_rows(reports) -> list[list[str]]:
     return [
         [
@@ -240,14 +222,8 @@ def _report_rows(reports) -> list[list[str]]:
 _REPORT_HEADERS = ["strategy", "firstRenderMs", "interactiveMs", "bytes", "requests", "rounds", "maxConc"]
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    out = _Output(args)
-    net = _read_network(args.net)
-    result = _analysis(args, out)
-    if isinstance(result, int):
-        return result
-    _, res, g = result
-    report = simulate(plan(g, res, LoadStrategy(args.strategy), manifest_bytes=args.manifest_bytes), net)
+def cmd_simulate(args: argparse.Namespace, out: _Output) -> int:
+    [report] = _simulated(args, out, [LoadStrategy(args.strategy)])
     if out.json_mode:
         out.emit_json(report.to_json())
     else:
@@ -267,17 +243,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    out = _Output(args)
-    net = _read_network(args.net)
-    result = _analysis(args, out)
-    if isinstance(result, int):
-        return result
-    _, res, g = result
-    reports = [
-        simulate(plan(g, res, strategy, manifest_bytes=args.manifest_bytes), net)
-        for strategy in ALL_STRATEGIES
-    ]
+def cmd_compare(args: argparse.Namespace, out: _Output) -> int:
+    reports = _simulated(args, out, ALL_STRATEGIES)
     if out.json_mode:
         out.emit_json([r.to_json() for r in reports])
     else:
@@ -285,14 +252,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    out = _Output(args)
-    net = _read_network(args.net)
-    result = _analysis(args, out)
-    if isinstance(result, int):
-        return result
-    _, res, g = result
-    report = simulate(plan(g, res, LoadStrategy(args.strategy), manifest_bytes=args.manifest_bytes), net)
+def cmd_trace(args: argparse.Namespace, out: _Output) -> int:
+    [report] = _simulated(args, out, [LoadStrategy(args.strategy)])
     log = from_sim(report)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -306,65 +267,44 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _option(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the subcommands that share it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedplan",
         description="Static analysis and load simulation for bundler-independent module federations.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "table"], default="table")
-    common.add_argument("--quiet", action="store_true", help="suppress tables and diagnostics")
+    host = _option("host", help="path to the host federation.json")
+    quiet = _option("--quiet", action="store_true", help="suppress tables and diagnostics")
+    table = _option("--format", choices=["json", "table"], default="table")
+    strategy = _option("--strategy", choices=[s.value for s in ALL_STRATEGIES], required=True)
+    net = _option("--net", required=True, help="network model JSON file")
+    manifest_bytes = _option("--manifest-bytes", type=int, default=DEFAULT_MANIFEST_BYTES)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="validate a workspace's manifests")
-    p.add_argument("host", help="path to the host federation.json")
-    p.set_defaults(func=cmd_validate)
+    def command(name: str, func, summary: str, fmt: argparse.ArgumentParser, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[host, fmt, quiet, *parents], help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("graph", help="export the cross-application module graph")
-    p.add_argument("host")
-    p.add_argument("--format", choices=["dot", "json"], default="dot")
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("resolve-shared", parents=[common], help="negotiate shared package versions")
-    p.add_argument("host")
-    p.set_defaults(func=cmd_resolve_shared)
-
-    p = sub.add_parser("check-types", parents=[common], help="check consumer expectations against exposed interfaces")
-    p.add_argument("host")
+    command("validate", cmd_validate, "validate a workspace's manifests", table)
+    command("graph", cmd_graph, "export the cross-application module graph",
+            _option("--format", choices=["dot", "json"], default="dot"))
+    command("resolve-shared", cmd_resolve_shared, "negotiate shared package versions", table)
+    p = command("check-types", cmd_check_types, "check consumer expectations against exposed interfaces", table)
     p.add_argument("--strict-types", action="store_true", help="treat missing interfaces as errors")
-    p.set_defaults(func=cmd_check_types)
-
-    strategies = [s.value for s in ALL_STRATEGIES]
-
-    p = sub.add_parser("plan", parents=[common], help="build the fetch plan for one strategy")
-    p.add_argument("host")
-    p.add_argument("--strategy", choices=strategies, required=True)
-    p.add_argument("--manifest-bytes", type=int, default=DEFAULT_MANIFEST_BYTES)
-    p.set_defaults(func=cmd_plan)
-
-    p = sub.add_parser("simulate", parents=[common], help="simulate one strategy over a network model")
-    p.add_argument("host")
-    p.add_argument("--strategy", choices=strategies, required=True)
-    p.add_argument("--net", required=True, help="network model JSON file")
-    p.add_argument("--manifest-bytes", type=int, default=DEFAULT_MANIFEST_BYTES)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("compare", parents=[common], help="simulate all four strategies")
-    p.add_argument("host")
-    p.add_argument("--net", required=True)
-    p.add_argument("--manifest-bytes", type=int, default=DEFAULT_MANIFEST_BYTES)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("trace", parents=[common], help="export the simulated timeline as JSON-lines spans")
-    p.add_argument("host")
-    p.add_argument("--strategy", choices=strategies, required=True)
-    p.add_argument("--net", required=True)
-    p.add_argument("--out", required=True, help="output spans.jsonl path")
-    p.add_argument("--manifest-bytes", type=int, default=DEFAULT_MANIFEST_BYTES)
-    p.set_defaults(func=cmd_trace)
-
+    command("plan", cmd_plan, "build the fetch plan for one strategy", table, strategy, manifest_bytes)
+    command("simulate", cmd_simulate, "simulate one strategy over a network model",
+            table, strategy, net, manifest_bytes)
+    command("compare", cmd_compare, "simulate all four strategies", table, net, manifest_bytes)
+    command("trace", cmd_trace, "export the simulated timeline as JSON-lines spans",
+            table, strategy, net, _option("--out", required=True, help="output spans.jsonl path"), manifest_bytes)
     return parser
 
 
@@ -374,23 +314,33 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    out = _Output(args)
     try:
-        return args.func(args)
+        return args.func(args, out)
     except ToolError as exc:
-        out = _Output(args)
-        diag = exc.to_diagnostic()
         if exc.code in _USAGE_CODES:
-            print(_paint(ERROR, str(diag)), file=sys.stderr)
+            print(_paint(ERROR, str(exc.to_diagnostic())), file=sys.stderr)
             return 2
-        if out.json_mode:
-            out.emit_json({"diagnostics": [diag.to_json()]})
-        else:
-            out.emit_diagnostics([diag])
-        return 1
+        diags = [exc.to_diagnostic()]
+    except _Failed as exc:
+        diags = exc.diagnostics
+    if out.json_mode:
+        out.emit_json({"diagnostics": [d.to_json() for d in diags]})
+    else:
+        out.emit_diagnostics(diags)
+    return 1
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout went away. Point stdout at devnull so the
+        # interpreter's final flush cannot fail again, and exit as an IO failure.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

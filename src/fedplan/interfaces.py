@@ -168,7 +168,7 @@ def parse_interface(text: str) -> InterfaceDecl:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except ToolError:
         raise
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ToolError("E-SYNTAX", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("exports"), dict):
         raise ToolError("E-SYNTAX", 'interface document needs an "exports" object')

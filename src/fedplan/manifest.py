@@ -275,7 +275,7 @@ def parse_manifest(text: str) -> tuple[FederationManifest, list[Diagnostic]]:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except ToolError:
         raise
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ToolError("E-SYNTAX", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ToolError("E-SYNTAX", "manifest must be a JSON object")

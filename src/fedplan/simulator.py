@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .diagnostics import ToolError
 from .graph import ModuleGraph, node_label
-from .planner import LoadPlan, LoadStrategy, longest_chain, plan, required_bytes
+from .planner import DEFAULT_MANIFEST_BYTES, LoadPlan, LoadStrategy, longest_chain, plan, required_bytes
 from .shares import ShareResolution
 
 # Events this close (ms, or bytes of virtual time) count as one instant.
@@ -263,7 +263,7 @@ def compare_strategies(
     res: ShareResolution,
     net: NetworkModel,
     strategies: tuple[LoadStrategy, ...] = ALL_STRATEGIES,
-    manifest_bytes: int = 2000,
+    manifest_bytes: int = DEFAULT_MANIFEST_BYTES,
 ) -> list[SimReport]:
     """One report per strategy over identical inputs, in the order given."""
     return [

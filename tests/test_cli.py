@@ -103,6 +103,14 @@ def test_quiet_suppresses_table_output(capsys):
     assert out == "" and err == ""
 
 
+def test_resolve_shared_quiet_silences_conflicts(capsys):
+    code, out, err = invoke(
+        capsys, "resolve-shared", "fixtures/conflict_singleton/host/federation.json", "--quiet"
+    )
+    assert code == 1
+    assert out == "" and err == ""
+
+
 def test_missing_host_file_is_usage_error(capsys):
     code, _out, err = invoke(capsys, "validate", "fixtures/nope/federation.json")
     assert code == 2
@@ -228,3 +236,26 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "2 application(s)" in proc.stdout
+
+
+def test_closed_stdout_pipe_is_io_failure_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), FEDPLAN_COLOR="0")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: every write to the pipe fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "fedplan", "compare", "fixtures/fig1_shared/host/federation.json",
+                "--net", "fixtures/nets/default.json", "--format", "json",
+            ],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=REPO_ROOT,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

@@ -70,6 +70,12 @@ def test_parse_interface_empty():
     assert parse_interface('{"exports":{}}').exports == ()
 
 
+def test_parse_interface_nested_past_the_recursion_limit_is_syntax_error():
+    with pytest.raises(ToolError) as err:
+        parse_interface('{"exports":{"X":%s}}' % ("[" * 3000 + "]" * 3000))
+    assert err.value.code == "E-SYNTAX"
+
+
 def test_parse_interface_duplicate_field_names():
     doc = '{"exports":{"X":{"kind":"record","fields":{"a":{"type":{"kind":"string"}},"a":{"type":{"kind":"number"}}}}}}'
     with pytest.raises(ToolError) as err:

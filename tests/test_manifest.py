@@ -62,6 +62,14 @@ def test_duplicate_json_keys_rejected():
     assert err.value.code == "E-SYNTAX"
 
 
+def test_json_nested_past_the_recursion_limit_is_syntax_error():
+    nested = "[" * 3000 + "]" * 3000
+    text = '{"name":"r","version":"1.0.0","expects":[{"target":"remote/./X#X","interface":%s}]}' % nested
+    with pytest.raises(ToolError) as err:
+        parse_manifest(text)
+    assert err.value.code == "E-SYNTAX"
+
+
 def test_import_ref_encoding():
     assert parse_import_ref("./Header") == LocalImport("./Header")
     assert parse_import_ref("remote/./Header") == RemoteImport("remote", "./Header")
