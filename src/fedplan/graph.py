@@ -4,13 +4,17 @@ Nodes are (application, module id) pairs; shared packages get their own
 provider-attributed nodes so deduplication is visible in the topology. Module
 cycles inside one application are tolerated (bundlers chunk them together);
 cycles that span applications have no load order and are hard errors.
+
+A `ModuleGraph` builds its adjacency and fetch-unit contraction once, at
+construction, and raises E-XAPP-CYCLE there, so every graph that exists is a
+valid load graph. The functions below read those indexes; none rebuilds them.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, DiagnosticBag, ToolError
 from .manifest import LocalImport, RemoteImport, Workspace
@@ -38,15 +42,28 @@ class Edge:
 
 @dataclass(frozen=True)
 class ModuleGraph:
+    """Nodes, edges and root, plus indexes derived once at construction.
+
+    `adjacency` maps each node to its outgoing edges; `units`, `unit_succs`
+    and `unit_of` are the fetch-unit contraction (see `fetch_units`).
+    Construction raises E-XAPP-CYCLE when a cycle spans applications.
+    """
+
     nodes: dict[tuple[str, str], ModuleNode]
     edges: tuple[Edge, ...]
     root: tuple[str, str]
+    adjacency: dict[tuple[str, str], list[Edge]] = field(init=False, repr=False, compare=False)
+    units: list[tuple[tuple[str, str], ...]] = field(init=False, repr=False, compare=False)
+    unit_succs: dict[int, dict[int, set[str]]] = field(init=False, repr=False, compare=False)
+    unit_of: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
 
-    def outgoing(self) -> dict[tuple[str, str], list[Edge]]:
-        out: dict[tuple[str, str], list[Edge]] = {key: [] for key in self.nodes}
+    def __post_init__(self) -> None:
+        adjacency: dict[tuple[str, str], list[Edge]] = {key: [] for key in self.nodes}
         for edge in self.edges:
-            out[edge.src].append(edge)
-        return out
+            adjacency[edge.src].append(edge)
+        object.__setattr__(self, "adjacency", adjacency)
+        for name, index in zip(("units", "unit_succs", "unit_of"), fetch_units(self)):
+            object.__setattr__(self, name, index)
 
 
 def node_label(key: tuple[str, str]) -> str:
@@ -143,106 +160,85 @@ def build_graph(w: Workspace, res: ShareResolution) -> tuple[ModuleGraph, list[D
     if root not in nodes:
         raise ToolError("E-DANGLING-LOCAL", f"host entry {w.host.entry!r} is not a declared module")
     graph = ModuleGraph(nodes, tuple(sorted(edges, key=lambda e: (e.src, e.dst, e.mode))), root)
-    fetch_units(graph)  # raises E-XAPP-CYCLE on cross-application cycles
     return graph, bag.items
 
 
 def reachable_set(g: ModuleGraph, include_dynamic: bool) -> set[tuple[str, str]]:
     """Nodes reachable from root; dynamic edges are followed only when asked."""
-    out = g.outgoing()
     seen = {g.root}
     frontier = [g.root]
     while frontier:
         key = frontier.pop()
-        for edge in out[key]:
-            if edge.mode == "dynamic" and not include_dynamic:
-                continue
-            if edge.dst not in seen:
+        for edge in g.adjacency[key]:
+            if edge.dst not in seen and (include_dynamic or edge.mode != "dynamic"):
                 seen.add(edge.dst)
                 frontier.append(edge.dst)
     return seen
 
 
-def _tarjan_sccs(g: ModuleGraph) -> list[list[tuple[str, str]]]:
-    out = g.outgoing()
+def _tarjan_sccs(g: ModuleGraph) -> list[tuple[tuple[str, str], ...]]:
+    """Strongly connected components as sorted tuples (iterative Tarjan)."""
     index: dict[tuple[str, str], int] = {}
     low: dict[tuple[str, str], int] = {}
     on_stack: set[tuple[str, str]] = set()
     stack: list[tuple[str, str]] = []
-    sccs: list[list[tuple[str, str]]] = []
-    counter = [0]
-
-    def visit(start) -> None:
-        # Iterative Tarjan: (node, edge iterator) pairs.
-        work = [(start, iter(out[start]))]
-        index[start] = low[start] = counter[0]
-        counter[0] += 1
+    sccs = []
+    for start in sorted(g.nodes):
+        if start in index:
+            continue
+        index[start] = low[start] = len(index)
         stack.append(start)
         on_stack.add(start)
+        work = [(start, iter(g.adjacency[start]))]  # (node, its unvisited edges)
         while work:
             node, edges = work[-1]
-            advanced = False
             for edge in edges:
                 succ = edge.dst
                 if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
+                    index[succ] = low[succ] = len(index)
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, iter(out[succ])))
-                    advanced = True
+                    work.append((succ, iter(g.adjacency[succ])))
                     break
                 if succ in on_stack:
                     low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    scc.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(scc))
-
-    for key in sorted(g.nodes):
-        if key not in index:
-            visit(key)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    scc = []
+                    while not scc or scc[-1] != node:
+                        scc.append(stack.pop())
+                        on_stack.discard(scc[-1])
+                    sccs.append(tuple(sorted(scc)))
     return sccs
 
 
 def fetch_units(g: ModuleGraph):
     """Contract intra-application cycles into single fetch units.
 
-    Returns (units, unit_edges, unit_of): units are sorted key tuples, edges a
-    set of (i, j, mode) triples over unit indices, unit_of maps keys to unit
-    indices. Raises E-XAPP-CYCLE when a cycle spans applications.
+    Returns (units, unit_succs, unit_of): units are sorted key tuples in the
+    order of their first keys, unit_succs maps every unit index to
+    {successor index: import modes}, unit_of maps keys to unit indices. Raises
+    E-XAPP-CYCLE when a cycle spans applications. `ModuleGraph` calls this
+    once, when it is built.
     """
-    sccs = sorted(_tarjan_sccs(g), key=lambda s: s[0])
-    for scc in sccs:
-        apps = {key[0] for key in scc}
-        if len(scc) > 1 and len(apps) > 1:
+    units = sorted(_tarjan_sccs(g))  # disjoint, so the first keys decide the order
+    for unit in units:
+        if len({key[0] for key in unit}) > 1:
             raise ToolError(
                 "E-XAPP-CYCLE",
-                "cycle spans applications: " + ", ".join(node_label(k) for k in scc),
+                "cycle spans applications: " + ", ".join(node_label(k) for k in unit),
             )
-    unit_of = {}
-    units = []
-    for i, scc in enumerate(sccs):
-        units.append(tuple(scc))
-        for key in scc:
-            unit_of[key] = i
-    unit_edges: set[tuple[int, int, str]] = set()
+    unit_of = {key: i for i, unit in enumerate(units) for key in unit}
+    unit_succs: dict[int, dict[int, set[str]]] = {i: {} for i in range(len(units))}
     for edge in g.edges:
         a, b = unit_of[edge.src], unit_of[edge.dst]
         if a != b:
-            unit_edges.add((a, b, edge.mode))
-    return units, unit_edges, unit_of
+            unit_succs[a].setdefault(b, set()).add(edge.mode)
+    return units, unit_succs, unit_of
 
 
 def topological_order(succs: dict, starts: Iterable) -> list:
@@ -295,20 +291,13 @@ def waterfall_depth(g: ModuleGraph) -> int:
     static and dynamic edges alike (dynamic discovery is what builds the
     waterfall in the first place).
     """
-    if not g.nodes:
-        return 0
-    units, unit_edges, unit_of = fetch_units(g)
-    succs: dict[int, set[int]] = {}
-    for a, b, _ in unit_edges:
-        succs.setdefault(a, set()).add(b)
-    return longest_path(succs, [unit_of[g.root]])
+    return longest_path(g.unit_succs, [g.unit_of[g.root]] if g.nodes else [])
 
 
 def detect_cycles(g: ModuleGraph) -> list[list[tuple[str, str]]]:
     """Strongly connected components with more than one node, plus self-loops."""
     self_loops = {e.src for e in g.edges if e.src == e.dst}
-    cycles = [scc for scc in _tarjan_sccs(g) if len(scc) > 1 or scc[0] in self_loops]
-    return sorted(cycles, key=lambda scc: scc[0])
+    return [list(unit) for unit in g.units if len(unit) > 1 or unit[0] in self_loops]
 
 
 def export_dot(g: ModuleGraph) -> str:

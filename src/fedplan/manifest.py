@@ -154,6 +154,13 @@ def _string(value, path: str) -> str:
     return value
 
 
+def _path(value, path: str) -> str:
+    text = _string(value, path)
+    if "\0" in text:
+        raise ToolError("E-SYNTAX", "a path must not contain a NUL character", path)
+    return text
+
+
 def _integer(value, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ToolError("E-SYNTAX", "expected an integer", path)
@@ -207,7 +214,7 @@ def _parse_module(obj: dict, path: str, bag: DiagnosticBag) -> ModuleDecl:
         size_bytes=_integer(obj.get("sizeBytes", 0), f"{path}.sizeBytes"),
         static_imports=_parse_refs(_array(obj, "staticImports", path), f"{path}.staticImports"),
         dynamic_imports=_parse_refs(_array(obj, "dynamicImports", path), f"{path}.dynamicImports"),
-        interface=_string(interface, f"{path}.interface") if interface is not None else None,
+        interface=_path(interface, f"{path}.interface") if interface is not None else None,
     )
 
 
@@ -227,7 +234,7 @@ def _parse_remote(obj: dict, path: str, bag: DiagnosticBag) -> RemoteRef:
     _warn_unknown(obj, _REMOTE_KEYS, path, bag)
     return RemoteRef(
         name=_string(_require(obj, "name", path), f"{path}.name"),
-        manifest_path=_string(_require(obj, "manifest", path), f"{path}.manifest"),
+        manifest_path=_path(_require(obj, "manifest", path), f"{path}.manifest"),
     )
 
 
@@ -472,23 +479,22 @@ def load_workspace(host_path: str) -> tuple[Workspace, list[Diagnostic]]:
     names: dict[str, tuple[str, str]] = {}  # app name -> (real path, path as given)
     alias_targets: dict[tuple[str, str], str] = {}
 
-    def read(path_given: str) -> str:
+    # Depth-first over remote references, on an explicit stack of frames:
+    # (real path, path as given, manifest, its remotes not yet followed).
+    frames: list[tuple] = []
+    on_stack: set[str] = set()
+
+    def enter(path_given: str, real: str) -> FederationManifest:
         try:
             with open(path_given, "r", encoding="utf-8") as fh:
-                return fh.read()
+                text = fh.read()
         except OSError as exc:
             raise ToolError("E-IO", f"cannot read manifest: {exc}", path_given)
-
-    def load(path_given: str, real: str, stack: list[str]) -> FederationManifest:
         try:
-            manifest, warns = parse_manifest(read(path_given))
+            manifest, warns = parse_manifest(text)
         except ToolError as exc:
-            if exc.code == "E-IO":
-                raise
             raise ToolError(exc.code, f"{path_given}: {exc.message}", exc.path) from exc
-        bag.extend(
-            [replace(w, path=f"{path_given}:{w.path}") for w in warns]
-        )
+        bag.extend([replace(w, path=f"{path_given}:{w.path}") for w in warns])
         manifest = replace(manifest, base_dir=os.path.dirname(path_given))
         if manifest.name in names and names[manifest.name][0] != real:
             raise ToolError(
@@ -498,8 +504,14 @@ def load_workspace(host_path: str) -> tuple[Workspace, list[Diagnostic]]:
             )
         names[manifest.name] = (real, path_given)
         loaded[real] = manifest
+        frames.append((real, path_given, manifest, iter(manifest.remotes)))
+        on_stack.add(real)
+        return manifest
 
-        for remote in manifest.remotes:
+    host = enter(host_path, host_real)
+    while frames:
+        real, path_given, manifest, remotes = frames[-1]
+        for remote in remotes:
             target_given = os.path.normpath(
                 os.path.join(os.path.dirname(path_given), remote.manifest_path)
             )
@@ -515,18 +527,20 @@ def load_workspace(host_path: str) -> tuple[Workspace, list[Diagnostic]]:
                     path_given,
                     f"{manifest.name} consumes the host as remote {remote.name!r}",
                 )
-                alias_targets[(manifest.name, remote.name)] = loaded[host_real].name
+                alias_targets[(manifest.name, remote.name)] = host.name
                 continue
-            if target_real in stack:
-                chain = [loaded[p].name for p in stack[stack.index(target_real):]]
-                chain += [manifest.name, loaded[target_real].name]
+            if target_real in on_stack:
+                start = next(i for i, frame in enumerate(frames) if frame[0] == target_real)
+                chain = [frame[2].name for frame in frames[start:]] + [loaded[target_real].name]
                 raise ToolError("E-REMOTE-CYCLE", "manifest cycle: " + " -> ".join(chain))
             if target_real not in loaded:
-                load(target_given, target_real, stack + [real])
+                alias_targets[(manifest.name, remote.name)] = enter(target_given, target_real).name
+                break  # continue depth-first from the new frame
             alias_targets[(manifest.name, remote.name)] = loaded[target_real].name
-        return manifest
+        else:
+            frames.pop()
+            on_stack.discard(real)
 
-    host = load(host_path, host_real, [])
     if host.entry is None:
         raise ToolError("E-MISSING-FIELD", "host manifest must declare an entry module", ".entry")
     remotes = {m.name: m for real, m in loaded.items() if real != host_real}

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 
 from .diagnostics import ToolError
-from .graph import ModuleGraph, fetch_units, longest_path, node_label, reachable_set, topological_order
+from .graph import KIND_SHARED, ModuleGraph, longest_path, node_label, reachable_set, topological_order
 from .shares import ShareResolution
 
 MANIFEST_PSEUDO_MODULE = "__manifest__"
@@ -117,52 +117,44 @@ def _eager_duplicate_bytes(res: ShareResolution, apps: list[str]) -> int:
 
 
 def _plan_lazy(g: ModuleGraph, res: ShareResolution) -> LoadPlan:
-    units, unit_edges, unit_of = fetch_units(g)
-
-    succs: dict[int, set[int]] = {}
-    preds: dict[int, set[int]] = {}
-    edge_modes: dict[tuple[int, int], set[str]] = {}
-    for a, b, mode in unit_edges:
-        succs.setdefault(a, set()).add(b)
-        preds.setdefault(b, set()).add(a)
-        edge_modes.setdefault((a, b), set()).add(mode)
-
     # Deterministic ids in causal order: unit ids already follow the units'
     # first keys, so the smallest ready unit is the one with the smallest key.
-    order = topological_order(succs, [unit_of[g.root]])
-    reached = set(order)
-
+    # The walk meets every importer of a unit before the unit itself, so each
+    # unit's in-plan importers and their import modes are known on arrival.
+    order = topological_order(g.unit_succs, [g.unit_of[g.root]])
     request_id = {u: i for i, u in enumerate(order)}
+    importers: dict[int, list[int]] = {}
+    modes: dict[int, set[str]] = {}
     requests = []
     for u in order:
-        unit_preds = sorted(preds.get(u, set()) & reached)
-        deps = frozenset(request_id[p] for p in unit_preds)
+        unit_preds = importers.get(u, [])
         if unit_preds:
-            modes = set()
-            for p in unit_preds:
-                modes |= edge_modes[(p, u)]
-            dynamic = modes == {"dynamic"}
-            trigger = Trigger("parse", min(units[p][0] for p in unit_preds))
+            dynamic = modes[u] == {"dynamic"}
+            trigger = Trigger("parse", g.units[min(unit_preds)][0])
         else:
             dynamic = False
             trigger = Trigger("root")
-        payload = frozenset(units[u])
+        payload = frozenset(g.units[u])
         requests.append(
             FetchRequest(
                 id=request_id[u],
                 payload=payload,
                 size_bytes=sum(g.nodes[k].size_bytes for k in payload),
-                depends_on=deps,
+                depends_on=frozenset(request_id[p] for p in unit_preds),
                 trigger=trigger,
                 dynamic_trigger=dynamic,
             )
         )
+        for v, edge_modes in g.unit_succs[u].items():
+            importers.setdefault(v, []).append(u)
+            modes.setdefault(v, set()).update(edge_modes)
     return LoadPlan(LoadStrategy.LAZY, tuple(requests), res.duplicate_bytes, g.root)
 
 
-def _plan_prefetch(g: ModuleGraph, res: ShareResolution, manifest_bytes: int) -> LoadPlan:
+def _plan_prefetch(
+    g: ModuleGraph, res: ShareResolution, manifest_bytes: int, required: set
+) -> LoadPlan:
     host = g.root[0]
-    required = sorted(reachable_set(g, True))
     remote_apps = sorted({key[0] for key in g.nodes} - {host})
 
     requests = []
@@ -180,7 +172,7 @@ def _plan_prefetch(g: ModuleGraph, res: ShareResolution, manifest_bytes: int) ->
             )
         )
     next_id = len(requests)
-    for key in required:
+    for key in sorted(required):
         local = key[0] == host
         deps = frozenset() if local or manifest_id is None else frozenset({manifest_id})
         requests.append(
@@ -196,11 +188,8 @@ def _plan_prefetch(g: ModuleGraph, res: ShareResolution, manifest_bytes: int) ->
     return LoadPlan(LoadStrategy.PREFETCH, tuple(requests), res.duplicate_bytes, g.root)
 
 
-def _plan_eager(g: ModuleGraph, res: ShareResolution) -> LoadPlan:
-    from .graph import KIND_SHARED
-
+def _plan_eager(g: ModuleGraph, res: ShareResolution, required: set) -> LoadPlan:
     host = g.root[0]
-    required = reachable_set(g, True)
     module_keys = [k for k in sorted(required) if g.nodes[k].kind != KIND_SHARED]
     apps = sorted({key[0] for key in module_keys}, key=lambda a: (a != host, a))
 
@@ -226,8 +215,8 @@ def _plan_eager(g: ModuleGraph, res: ShareResolution) -> LoadPlan:
     )
 
 
-def _plan_ssr(g: ModuleGraph, res: ShareResolution) -> LoadPlan:
-    payload = set(reachable_set(g, True))
+def _plan_ssr(g: ModuleGraph, res: ShareResolution, required: set) -> LoadPlan:
+    payload = set(required)
     for package, (version, provider) in res.bindings.items():
         payload.add((provider, f"{package}@{version}"))
     size = sum(g.nodes[k].size_bytes for k in payload if k in g.nodes)
@@ -254,19 +243,19 @@ def plan(
     Eager bundles each application self-contained, duplicating shared packages.
     SSR ships everything as a single server-composed payload.
     """
+    required = reachable_set(g, True)
     if strategy is LoadStrategy.LAZY:
         built = _plan_lazy(g, res)
     elif strategy is LoadStrategy.PREFETCH:
-        built = _plan_prefetch(g, res, manifest_bytes)
+        built = _plan_prefetch(g, res, manifest_bytes, required)
     elif strategy is LoadStrategy.EAGER:
-        built = _plan_eager(g, res)
+        built = _plan_eager(g, res, required)
     else:
-        built = _plan_ssr(g, res)
+        built = _plan_ssr(g, res, required)
 
     covered = set()
     for request in built.requests:
         covered |= request.payload
-    required = reachable_set(g, True)
     if strategy in (LoadStrategy.LAZY, LoadStrategy.PREFETCH, LoadStrategy.SSR):
         missing = required - covered
         if missing:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .diagnostics import ToolError
 from .graph import ModuleGraph, node_label
@@ -46,6 +46,9 @@ class NetworkModel:
     interaction_delay_ms: float = 0.0
 
     def __post_init__(self) -> None:
+        # An int is finite, and may be too large for math.isfinite's float.
+        if not all(isinstance(v, int) or math.isfinite(v) for v in astuple(self)):
+            raise ToolError("E-BAD-NET", "network parameters must be finite")
         if (
             min(
                 self.rtt_ms,
@@ -83,6 +86,8 @@ def network_from_json(obj: object) -> NetworkModel:
             raise ToolError("E-BAD-NET", f"unknown network field {key!r}")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ToolError("E-BAD-NET", f"network field {key!r} must be a number")
+        if key == "maxConcurrent" and not (isinstance(value, int) or value.is_integer()):
+            raise ToolError("E-BAD-NET", "maxConcurrent must be a whole number")
         kwargs[_NET_FIELDS[key]] = int(value) if key == "maxConcurrent" else float(value)
     return NetworkModel(**kwargs)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import signal
 import sys
 from pathlib import Path
 
@@ -22,6 +24,22 @@ from fedplan.manifest import (
     parse_import_ref,
 )
 from fedplan.semver import parse_range, parse_version
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail, rather than hang, when the block is still running after `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def module(

@@ -9,7 +9,7 @@ import pytest
 
 from fedplan.cli import run
 
-from conftest import FIXTURES, REPO_ROOT
+from conftest import FIXTURES, REPO_ROOT, deadline
 
 GOLDEN = FIXTURES / "golden"
 
@@ -129,6 +129,83 @@ def test_malformed_net_is_usage_error(capsys):
     )
     assert code == 2
     assert "E-BAD-NET" in err
+
+
+NET_FIELDS = (
+    "rttMs",
+    "bandwidthBytesPerMs",
+    "maxConcurrent",
+    "parseMsPerKb",
+    "serverComposeMs",
+    "hydrationFactor",
+    "interactionDelayMs",
+)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", NET_FIELDS)
+def test_non_finite_net_is_usage_error(capsys, tmp_path, field, value):
+    # Python's json reads these literals; NaN used to make simulate loop forever.
+    net = tmp_path / "net.json"
+    net.write_text(f'{{"{field}": {value}}}')
+    with deadline(10):
+        code, out, err = invoke(
+            capsys,
+            "simulate",
+            "fixtures/fig1/host/federation.json",
+            "--strategy",
+            "lazy",
+            "--net",
+            str(net),
+        )
+    assert code == 2
+    assert out == ""
+    assert "E-BAD-NET" in err
+
+
+def _write_host(tmp_path, remotes=(), **entry_fields) -> str:
+    entry = {"id": "entry", "sizeBytes": 1, "staticImports": [], "dynamicImports": [], **entry_fields}
+    doc = {"name": "host", "version": "1.0.0", "entry": "entry", "modules": [entry], "remotes": list(remotes)}
+    path = tmp_path / "federation.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_nul_in_remote_manifest_path_is_syntax_error(capsys, tmp_path):
+    host = _write_host(tmp_path, remotes=[{"name": "r", "manifest": "a\u0000b"}])
+    code, _out, err = invoke(capsys, "validate", host)
+    assert code == 1
+    assert "E-SYNTAX" in err and ".remotes[0].manifest" in err
+    assert "Traceback" not in err
+
+
+def test_nul_in_module_interface_path_is_syntax_error(capsys, tmp_path):
+    host = _write_host(tmp_path, interface="a\u0000b")
+    code, _out, err = invoke(capsys, "check-types", host)
+    assert code == 1
+    assert "E-SYNTAX" in err and ".modules[0].interface" in err
+    assert "Traceback" not in err
+
+
+def test_validate_long_remote_chain(capsys, tmp_path):
+    # Application i imports application i+1's exposed module: 1200 manifests,
+    # one remote hop each, far past the default recursion limit.
+    n = 1200
+    for i in range(n):
+        module = {"id": "./m", "sizeBytes": 1, "staticImports": [] if i == n - 1 else ["r/./m"]}
+        doc = {
+            "name": f"a{i}",
+            "version": "1.0.0",
+            "modules": [module],
+            "exposes": [{"id": "./m", "module": "./m"}],
+            "remotes": [] if i == n - 1 else [{"name": "r", "manifest": f"a{i + 1}.json"}],
+        }
+        if i == 0:
+            doc["entry"] = "./m"
+        (tmp_path / f"a{i}.json").write_text(json.dumps(doc))
+    code, out, _err = invoke(capsys, "validate", str(tmp_path / "a0.json"), "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["applications"]) == n
 
 
 def test_unknown_strategy_is_usage_error(capsys):

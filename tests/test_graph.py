@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from fedplan.diagnostics import ToolError
@@ -196,6 +198,14 @@ def test_build_cross_app_cycle_is_error():
     assert err.value.code == "E-XAPP-CYCLE"
 
 
+def test_constructing_graph_over_cross_app_cycle_is_error():
+    nodes = [(("a", "A"), 1, "entry"), (("b", "B"), 1, "exposed")]
+    edges = [(("a", "A"), ("b", "B"), "static"), (("b", "B"), ("a", "A"), "dynamic")]
+    with pytest.raises(ToolError) as err:
+        make_graph(nodes, edges, ("a", "A"))
+    assert err.value.code == "E-XAPP-CYCLE"
+
+
 def test_reachable_set_static_vs_dynamic():
     g = fig1_graph()
     assert reachable_set(g, include_dynamic=False) == {("host", "entry")}
@@ -278,6 +288,26 @@ def test_detect_self_loop():
     edges = [(("a", "A"), ("a", "A"), "static")]
     g = make_graph(nodes, edges, ("a", "A"))
     assert detect_cycles(g) == [[("a", "A")]]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_detect_cycles_matches_oracle_on_random_graphs(seed):
+    # Dense edges inside each application make several cycles; edges between
+    # applications only go from a lower to a higher one, so none spans two.
+    rng = random.Random(seed)
+    apps = ["a", "b", "c", "d"]
+    keys = [(name, f"m{i}") for name in apps for i in range(rng.randint(3, 7))]
+    edges = set()
+    for src in keys:
+        for dst in keys:
+            same_app = src[0] == dst[0]
+            if (same_app and rng.random() < 0.3) or (src[0] < dst[0] and rng.random() < 0.1):
+                edges.add((src, dst, rng.choice(["static", "dynamic"])))
+    g = make_graph([(k, 1, "internal") for k in keys], sorted(edges), keys[0])
+    self_loops = {src for src, dst, _ in edges if src == dst}
+    oracle = [s for s in brute_sccs(keys, edges) if len(s) > 1 or s[0] in self_loops]
+    assert any(len(s) > 1 for s in oracle)
+    assert detect_cycles(g) == oracle
 
 
 def test_export_dot_fig1():

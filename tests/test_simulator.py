@@ -1,9 +1,7 @@
 from __future__ import annotations
 
-import contextlib
 import math
 import random
-import signal
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +14,7 @@ from fedplan.planner import FetchRequest, LoadPlan, LoadStrategy, Trigger, plan,
 from fedplan.shares import build_share_scope, empty_resolution, resolve_shares
 from fedplan.simulator import NetworkModel, compare_strategies, network_from_json, simulate
 
-from conftest import FIXTURES
+from conftest import FIXTURES, deadline
 from oracles import exact_simulate, fluid_integrate
 
 FAST_NET = NetworkModel(rtt_ms=100, bandwidth_bytes_per_ms=100, max_concurrent=6, parse_ms_per_kb=0)
@@ -262,8 +260,10 @@ def test_network_from_json_rejects_bad_fields():
         network_from_json({"rttMs": "fast"})
     with pytest.raises(ToolError):
         network_from_json([1, 2])
-    net = network_from_json({"rttMs": 5})
-    assert net.rtt_ms == 5.0 and net.bandwidth_bytes_per_ms == 100.0
+    with pytest.raises(ToolError):
+        network_from_json({"maxConcurrent": 2.7})
+    net = network_from_json({"rttMs": 5, "maxConcurrent": 2.0})
+    assert net.rtt_ms == 5.0 and net.bandwidth_bytes_per_ms == 100.0 and net.max_concurrent == 2
 
 
 def _random_dag_plan(rng: random.Random):
@@ -311,22 +311,6 @@ def test_missing_root_request_is_a_diagnostic():
     with pytest.raises(ToolError) as err:
         simulate(p, FAST_NET)
     assert err.value.code == "E-UNPLANNABLE"
-
-
-@contextlib.contextmanager
-def deadline(seconds: float):
-    """Fail, rather than hang, when the block is still running after `seconds`."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def assert_matches_exact(p, net, report):
