@@ -267,17 +267,16 @@ def _load_declared_interface(
         file_path = os.path.join(app.base_dir, module.interface)
     if file_path in cache:
         return cache[file_path]
+    decl = None
     try:
         with open(file_path, "r", encoding="utf-8") as fh:
             decl = parse_interface(fh.read())
     except OSError as exc:
         bag.error("E-IO", path, f"cannot read interface file {file_path}: {exc}")
-        cache[file_path] = None
-        return None
+    except UnicodeDecodeError as exc:
+        bag.error("E-SYNTAX", path, f"{file_path}: not valid UTF-8: {exc}")
     except ToolError as exc:
         bag.error(exc.code, path, f"{file_path}: {exc.message}")
-        cache[file_path] = None
-        return None
     cache[file_path] = decl
     return decl
 

@@ -490,6 +490,8 @@ def load_workspace(host_path: str) -> tuple[Workspace, list[Diagnostic]]:
                 text = fh.read()
         except OSError as exc:
             raise ToolError("E-IO", f"cannot read manifest: {exc}", path_given)
+        except UnicodeDecodeError as exc:
+            raise ToolError("E-SYNTAX", f"{path_given}: not valid UTF-8: {exc}")
         try:
             manifest, warns = parse_manifest(text)
         except ToolError as exc:

@@ -36,6 +36,11 @@ class Trigger:
         return {"kind": self.kind}
 
 
+# Triggers are frozen values, so every request of every plan shares these two.
+_ROOT_TRIGGER = Trigger("root")
+_MANIFEST_TRIGGER = Trigger("manifest")
+
+
 @dataclass(frozen=True)
 class FetchRequest:
     id: int
@@ -133,7 +138,7 @@ def _plan_lazy(g: ModuleGraph, res: ShareResolution) -> LoadPlan:
             trigger = Trigger("parse", g.units[min(unit_preds)][0])
         else:
             dynamic = False
-            trigger = Trigger("root")
+            trigger = _ROOT_TRIGGER
         payload = frozenset(g.units[u])
         requests.append(
             FetchRequest(
@@ -158,30 +163,29 @@ def _plan_prefetch(
     remote_apps = sorted({key[0] for key in g.nodes} - {host})
 
     requests = []
-    manifest_id = None
+    after_manifest = frozenset()
     if remote_apps:
         payload = frozenset((app, MANIFEST_PSEUDO_MODULE) for app in remote_apps)
-        manifest_id = 0
+        after_manifest = frozenset({0})
         requests.append(
             FetchRequest(
                 id=0,
                 payload=payload,
                 size_bytes=manifest_bytes * len(remote_apps),
                 depends_on=frozenset(),
-                trigger=Trigger("manifest"),
+                trigger=_MANIFEST_TRIGGER,
             )
         )
     next_id = len(requests)
     for key in sorted(required):
         local = key[0] == host
-        deps = frozenset() if local or manifest_id is None else frozenset({manifest_id})
         requests.append(
             FetchRequest(
                 id=next_id,
                 payload=frozenset({key}),
                 size_bytes=g.nodes[key].size_bytes,
-                depends_on=deps,
-                trigger=Trigger("root") if local else Trigger("manifest"),
+                depends_on=frozenset() if local else after_manifest,
+                trigger=_ROOT_TRIGGER if local else _MANIFEST_TRIGGER,
             )
         )
         next_id += 1
@@ -207,7 +211,7 @@ def _plan_eager(g: ModuleGraph, res: ShareResolution, required: set) -> LoadPlan
                 payload=frozenset(payload),
                 size_bytes=size,
                 depends_on=frozenset(),
-                trigger=Trigger("root"),
+                trigger=_ROOT_TRIGGER,
             )
         )
     return LoadPlan(
@@ -225,7 +229,7 @@ def _plan_ssr(g: ModuleGraph, res: ShareResolution, required: set) -> LoadPlan:
         payload=frozenset(payload),
         size_bytes=size,
         depends_on=frozenset(),
-        trigger=Trigger("root"),
+        trigger=_ROOT_TRIGGER,
     )
     return LoadPlan(LoadStrategy.SSR, (request,), res.duplicate_bytes, g.root)
 

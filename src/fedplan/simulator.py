@@ -10,7 +10,11 @@ advances at bandwidth / (transfers in flight); a transfer that starts at v0
 ends when v reaches its finish tag v0 + size. Pending events sit in four
 heaps keyed (time, id), and each pass of the loop jumps to the earliest one
 and retires it, so no byte count is drained per flow and the run ends after
-a bounded number of passes whatever the float rounding.
+a bounded number of passes whatever the float rounding. A next event time
+that overflows the float range is E-BAD-NET.
+
+Waterfall rounds are counted during the run: when a request finishes
+parsing, each request that depends on it is at least one round deeper.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import astuple, dataclass
 
 from .diagnostics import ToolError
 from .graph import ModuleGraph, node_label
-from .planner import DEFAULT_MANIFEST_BYTES, LoadPlan, LoadStrategy, longest_chain, plan, required_bytes
+from .planner import DEFAULT_MANIFEST_BYTES, LoadPlan, LoadStrategy, plan, required_bytes
 from .shares import ShareResolution
 
 # Events this close (ms, or bytes of virtual time) count as one instant.
@@ -114,6 +118,10 @@ class TimelineEntry:
 
 @dataclass(frozen=True)
 class SimReport:
+    """One simulated load. waterfall_rounds, the requests on the longest
+    dependsOn chain, is counted during the run rather than by a second pass
+    over the plan."""
+
     strategy: LoadStrategy
     time_to_first_render_ms: float
     time_to_interactive_ms: float
@@ -145,8 +153,8 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
     fair-share bandwidth, then parses. SSR pays server composition before its
     transfer and hydration-weighted parsing after it.
     """
-    requests = {r.id: r for r in p.requests}
-    if not requests:
+    size = {r.id: r.size_bytes for r in p.requests}  # also the index of request ids
+    if not size:
         return SimReport(p.strategy, 0.0, 0.0, 0, 0, 0, 0, ())
     root_request = next((r.id for r in p.requests if p.root_key in r.payload), None)
     if root_request is None:
@@ -155,23 +163,25 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
     is_ssr = p.strategy is LoadStrategy.SSR
     compose = net.server_compose_ms if is_ssr else 0.0
     parse_factor = net.hydration_factor if is_ssr else 1.0
+    rtt, bandwidth, max_concurrent = net.rtt_ms, net.bandwidth_bytes_per_ms, net.max_concurrent
+    push, pop = heapq.heappush, heapq.heappop
+    eps, inf, isfinite = _EPS, math.inf, math.isfinite
 
-    def parse_ms(size: int) -> float:
-        return size / 1000.0 * net.parse_ms_per_kb * parse_factor
-
-    def eligible(rid: int, t: float) -> tuple[float, int]:
-        return (t + (net.interaction_delay_ms if requests[rid].dynamic_trigger else 0.0), rid)
-
-    children: dict[int, list[int]] = {rid: [] for rid in requests}
+    parse_ms = {rid: b / 1000.0 * net.parse_ms_per_kb * parse_factor for rid, b in size.items()}
+    delay = {r.id: net.interaction_delay_ms if r.dynamic_trigger else 0.0 for r in p.requests}
+    children: dict[int, list[int]] = {rid: [] for rid in size}
     blocked_on: dict[int, int] = {}
     for r in p.requests:
         blocked_on[r.id] = len(r.depends_on)
         for dep in r.depends_on:
-            if dep not in requests:
+            if dep not in size:
                 raise ToolError("E-DEADLOCK", f"request {r.id} depends on unknown request {dep}")
             children[dep].append(r.id)
+    # Requests on the longest dependsOn chain ending at each request, final
+    # once the request's last dependency has parsed.
+    depth = dict.fromkeys(size, 1)
 
-    ready = [eligible(rid, 0.0) for rid, count in blocked_on.items() if count == 0]
+    ready = [(delay[rid], rid) for rid, count in blocked_on.items() if count == 0]
     heapq.heapify(ready)
     latency: list[tuple[float, int]] = []  # headers arrive, transfer starts
     flows: list[tuple[float, int]] = []  # virtual finish tag v0 + size
@@ -190,54 +200,64 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
     while True:
         # Within one instant: finishes, header arrivals, parse completions,
         # then FIFO dispatch, repeated until nothing fires.
+        t_eps, v_eps = t + eps, v + eps
         progressed = True
         while progressed:
             progressed = False
-            while flows and flows[0][0] <= v + _EPS:
-                rid = heapq.heappop(flows)[1]
+            while flows and flows[0][0] <= v_eps:
+                rid = pop(flows)[1]
                 done_at[rid] = t
-                heapq.heappush(parsing, (t + parse_ms(requests[rid].size_bytes), rid))
+                push(parsing, (t + parse_ms[rid], rid))
                 in_flight -= 1
                 progressed = True
-            while latency and latency[0][0] <= t + _EPS:
-                rid = heapq.heappop(latency)[1]
-                heapq.heappush(flows, (v + requests[rid].size_bytes, rid))
+            while latency and latency[0][0] <= t_eps:
+                rid = pop(latency)[1]
+                push(flows, (v + size[rid], rid))
                 progressed = True
-            while parsing and parsing[0][0] <= t + _EPS:
-                rid = heapq.heappop(parsing)[1]
+            while parsing and parsing[0][0] <= t_eps:
+                rid = pop(parsing)[1]
                 parse_done_at[rid] = t
+                child_depth = depth[rid] + 1
                 for child in children[rid]:
+                    if depth[child] < child_depth:
+                        depth[child] = child_depth
                     blocked_on[child] -= 1
-                    if blocked_on[child] == 0:
-                        heapq.heappush(ready, eligible(child, t))
+                    if not blocked_on[child]:
+                        push(ready, (t + delay[child], child))
                 progressed = True
-            while in_flight < net.max_concurrent and ready and ready[0][0] <= t + _EPS:
-                rid = heapq.heappop(ready)[1]
+            while in_flight < max_concurrent and ready and ready[0][0] <= t_eps:
+                rid = pop(ready)[1]
                 start_at[rid] = t
-                headers_at[rid] = t + net.rtt_ms + compose
-                heapq.heappush(latency, (headers_at[rid], rid))
+                headers_at[rid] = headers = t + rtt + compose
+                push(latency, (headers, rid))
                 in_flight += 1
-                max_in_flight = max(max_in_flight, in_flight)
+                if in_flight > max_in_flight:
+                    max_in_flight = in_flight
                 progressed = True
 
-        if len(parse_done_at) == len(requests):
+        if len(parse_done_at) == len(size):
             break
+        if not (latency or flows or parsing or ready):
+            raise ToolError("E-DEADLOCK", "no runnable request; dependsOn cycle in plan")
 
         # Jump to the next event. When it is a flow finish, v lands on that
-        # flow's tag exactly, so every pass retires at least one event.
-        heads = [heap[0][0] for heap in (latency, parsing) if heap]
-        if ready and in_flight < net.max_concurrent:
-            heads.append(ready[0][0])
-        t_next = min(heads, default=math.inf)
+        # flow's tag exactly, so every pass retires at least one event. A
+        # waiting ready request holds an event only while a slot is free;
+        # otherwise a transfer or header arrival is pending.
+        t_next = latency[0][0] if latency else inf
+        if parsing and parsing[0][0] < t_next:
+            t_next = parsing[0][0]
+        if ready and in_flight < max_concurrent and ready[0][0] < t_next:
+            t_next = ready[0][0]
         if flows:
-            rate = net.bandwidth_bytes_per_ms / len(flows)
+            rate = bandwidth / len(flows)
             t_flow = t + (flows[0][0] - v) / rate
             if t_flow <= t_next:
                 t_next, v = t_flow, flows[0][0]
             else:
                 v += (t_next - t) * rate
-        elif not heads:
-            raise ToolError("E-DEADLOCK", "no runnable request; dependsOn cycle in plan")
+        if not isfinite(t_next):
+            raise ToolError("E-BAD-NET", "simulated time overflows; network parameters are too extreme")
         t = t_next
 
     timeline = tuple(
@@ -247,18 +267,18 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
             headers_at[rid],
             done_at[rid],
             parse_done_at[rid],
-            requests[rid].size_bytes,
+            size[rid],
         )
-        for rid in sorted(requests, key=lambda rid: (start_at[rid], rid))
+        for rid in sorted(size, key=lambda rid: (start_at[rid], rid))
     )
     return SimReport(
         strategy=p.strategy,
         time_to_first_render_ms=parse_done_at[root_request],
         time_to_interactive_ms=max(parse_done_at.values()),
         total_bytes=required_bytes(p),
-        request_count=len(requests),
+        request_count=len(size),
         max_observed_concurrency=max_in_flight,
-        waterfall_rounds=longest_chain(p),
+        waterfall_rounds=max(depth.values()),
         timeline=timeline,
     )
 

@@ -14,7 +14,10 @@ from .diagnostics import Diagnostic, DiagnosticBag, ToolError
 from .simulator import SimReport
 
 
-@dataclass(frozen=True)
+# Not frozen: a span already holds a mutable attributes dict, so freezing
+# made it neither hashable nor immutable, and a frozen dataclass costs about
+# three times as much to build, which dominated from_sim on large plans.
+@dataclass(slots=True)
 class Span:
     trace_id: str
     span_id: str

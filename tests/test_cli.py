@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -161,6 +162,50 @@ def test_non_finite_net_is_usage_error(capsys, tmp_path, field, value):
     assert code == 2
     assert out == ""
     assert "E-BAD-NET" in err
+
+
+@pytest.mark.parametrize("doc", ['{"rttMs": 1e308}', '{"bandwidthBytesPerMs": 1e-320}'])
+def test_overflowing_simulated_time_is_usage_error(capsys, tmp_path, doc):
+    # Finite nets whose event times overflow the float range used to print
+    # Infinity, which is not JSON.
+    net = tmp_path / "net.json"
+    net.write_text(doc)
+    with deadline(10):
+        code, out, err = invoke(
+            capsys,
+            "simulate",
+            "fixtures/fig1/host/federation.json",
+            "--strategy",
+            "lazy",
+            "--net",
+            str(net),
+            "--format",
+            "json",
+        )
+    assert code == 2
+    assert "Infinity" not in out
+    assert "E-BAD-NET" in err
+
+
+def test_non_utf8_manifest_is_syntax_error(capsys, tmp_path):
+    host = tmp_path / "federation.json"
+    host.write_bytes(b'{"name": "h\xff"}')
+    code, _out, err = invoke(capsys, "validate", str(host))
+    assert code == 1
+    assert "E-SYNTAX" in err and "UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_interface_is_syntax_error(capsys, tmp_path):
+    shutil.copytree(FIXTURES / "fig1", tmp_path / "fig1")
+    (tmp_path / "fig1" / "remote" / "Header.interface.json").write_bytes(b'{"exports": \xff}')
+    code, out, _err = invoke(
+        capsys, "check-types", str(tmp_path / "fig1" / "host" / "federation.json"), "--format", "json"
+    )
+    assert code == 1
+    [diag] = json.loads(out)["diagnostics"]
+    assert (diag["code"], diag["path"]) == ("E-SYNTAX", "remote/./Header#Header")
+    assert "UTF-8" in diag["message"]
 
 
 def _write_host(tmp_path, remotes=(), **entry_fields) -> str:

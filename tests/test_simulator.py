@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fedplan.diagnostics import ToolError
 from fedplan.graph import Edge, ModuleGraph, ModuleNode, build_graph, waterfall_depth
 from fedplan.manifest import load_workspace
-from fedplan.planner import FetchRequest, LoadPlan, LoadStrategy, Trigger, plan, required_bytes
+from fedplan.planner import FetchRequest, LoadPlan, LoadStrategy, Trigger, longest_chain, plan, required_bytes
 from fedplan.shares import build_share_scope, empty_resolution, resolve_shares
 from fedplan.simulator import NetworkModel, compare_strategies, network_from_json, simulate
 
@@ -220,6 +220,30 @@ def test_deadlock_detected():
     assert err.value.code == "E-DEADLOCK"
 
 
+def test_deadlock_after_root_finishes():
+    # The root runs to completion; only then are the remaining requests stuck.
+    p = make_plan(
+        [
+            request(0, [("a", "root")], 100),
+            request(1, [("a", "b")], 100, deps=[2]),
+            request(2, [("a", "c")], 100, deps=[1]),
+        ]
+    )
+    with pytest.raises(ToolError) as err:
+        simulate(p, FAST_NET)
+    assert err.value.code == "E-DEADLOCK"
+
+
+def test_rounds_of_a_1200_request_chain():
+    p = make_plan(
+        [request(i, [("a", f"m{i}")], 1000, deps=[i - 1] if i else ()) for i in range(1200)],
+        root=("a", "m0"),
+    )
+    with deadline(10):
+        report = simulate(p, FAST_NET)
+    assert report.waterfall_rounds == longest_chain(p) == 1200
+
+
 def test_empty_plan_report():
     report = simulate(make_plan([]), FAST_NET)
     assert report.time_to_interactive_ms == 0.0
@@ -360,6 +384,7 @@ def test_engine_matches_exact_reference(case):
     with deadline(10):
         report = simulate(p, net)
     assert_matches_exact(p, net, report)
+    assert report.waterfall_rounds == longest_chain(p)
 
 
 def test_flat_prefetch_1000_requests_ends_and_matches_exact():
