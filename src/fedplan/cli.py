@@ -13,10 +13,10 @@ import json
 import os
 import sys
 
-from .diagnostics import Diagnostic, ERROR, ToolError, has_errors
+from .diagnostics import Diagnostic, ERROR, ToolError, has_errors, parse_json
 from .graph import ModuleGraph, build_graph, export_dot, graph_to_json
 from .interfaces import check_compatibility, collect_expectations
-from .manifest import Workspace, load_workspace, validate_workspace
+from .manifest import MAX_BYTES, Workspace, load_workspace, validate_workspace
 from .planner import DEFAULT_MANIFEST_BYTES, LoadStrategy, plan
 from .shares import ShareResolution, build_share_scope, resolve_shares
 from .simulator import ALL_STRATEGIES, SimReport, network_from_json, simulate
@@ -189,12 +189,12 @@ def cmd_plan(args: argparse.Namespace, out: _Output) -> int:
 def _read_network(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ToolError("E-IO", f"cannot read network model: {exc}", path)
-    except ValueError as exc:
-        raise ToolError("E-BAD-NET", f"{path}: invalid JSON: {exc}")
-    return network_from_json(doc)
+    except UnicodeDecodeError as exc:
+        raise ToolError("E-BAD-NET", f"not valid UTF-8: {exc}", path)
+    return network_from_json(parse_json(text, "E-BAD-NET", path))
 
 
 def _simulated(args, out: _Output, strategies) -> list[SimReport]:
@@ -267,6 +267,17 @@ def cmd_trace(args: argparse.Namespace, out: _Output) -> int:
     return 0
 
 
+def _byte_count(text: str) -> int:
+    """A byte count for --manifest-bytes: an integer from 0 to MAX_BYTES."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # not an integer: rejected with the out-of-range values below
+    if not 0 <= value <= MAX_BYTES:
+        raise argparse.ArgumentTypeError(f"expected an integer from 0 to 2**53, got {text!r}")
+    return value
+
+
 def _option(*names: str, **kwargs) -> argparse.ArgumentParser:
     """A parent parser holding one option, for the subcommands that share it."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -284,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table = _option("--format", choices=["json", "table"], default="table")
     strategy = _option("--strategy", choices=[s.value for s in ALL_STRATEGIES], required=True)
     net = _option("--net", required=True, help="network model JSON file")
-    manifest_bytes = _option("--manifest-bytes", type=int, default=DEFAULT_MANIFEST_BYTES)
+    manifest_bytes = _option("--manifest-bytes", type=_byte_count, default=DEFAULT_MANIFEST_BYTES)
 
     sub = parser.add_subparsers(dest="command", required=True)
 

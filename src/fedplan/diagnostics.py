@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 ERROR = "error"
@@ -66,3 +67,25 @@ class DiagnosticBag:
 
 def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity == ERROR for d in diagnostics)
+
+
+def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"duplicate key {key!r} in object")
+        seen.add(key)
+    return dict(pairs)
+
+
+def parse_json(text: str, code: str, path: str = "") -> object:
+    """Parse one JSON document that every stage reads: manifest, interface, network model.
+
+    A duplicate object key, malformed text, or nesting too deep for the
+    parser raises ToolError(code) at `path` instead of escaping as a Python
+    exception.
+    """
+    try:
+        return json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+    except (ValueError, RecursionError) as exc:
+        raise ToolError(code, f"invalid JSON: {exc}", path) from exc

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, DiagnosticBag, ToolError
 from .manifest import LocalImport, RemoteImport, Workspace
-from .shares import ShareResolution
+from .shares import ShareResolution, shared_node
 
 KIND_ENTRY = "entry"
 KIND_EXPOSED = "exposed"
@@ -92,23 +92,16 @@ def build_graph(w: Workspace, res: ShareResolution) -> tuple[ModuleGraph, list[D
                 kind = KIND_INTERNAL
             nodes[(app.name, mod.id)] = ModuleNode((app.name, mod.id), mod.size_bytes, kind)
 
-    def shared_size(app_name: str, package: str) -> int:
-        app = w.app(app_name)
-        if app is not None:
-            for spec in app.shared:
-                if spec.package == package:
-                    return spec.size_bytes
-        return 0
-
+    specs = res.scope.by_package
     bound_node: dict[str, tuple[str, str]] = {}
     for package, (version, provider) in res.bindings.items():
-        key = (provider, f"{package}@{version}")
+        key = shared_node(provider, package, version)
         bound_node[package] = key
-        nodes[key] = ModuleNode(key, shared_size(provider, package), KIND_SHARED)
+        nodes[key] = ModuleNode(key, specs[package][provider].size_bytes, KIND_SHARED)
     for app_name, package, version in res.fallbacks:
-        key = (app_name, f"{package}@{version}")
+        key = shared_node(app_name, package, version)
         fallback_node[(app_name, package)] = key
-        nodes[key] = ModuleNode(key, shared_size(app_name, package), KIND_SHARED)
+        nodes[key] = ModuleNode(key, specs[package][app_name].size_bytes, KIND_SHARED)
 
     edges: set[Edge] = set()
     for app in w.applications():

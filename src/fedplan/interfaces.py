@@ -3,7 +3,10 @@
 The type language is a small JSON IDL: primitives, records (width-subtyped),
 functions (contravariant parameters, covariant returns), arrays, and the
 Unknown top type. Terms are finite trees; named references are rejected at
-parse time so the subtype relation is total and terminating.
+parse time (E-RECURSIVE-TYPE) so the subtype relation is total and
+terminating. A tree nested deeper than MAX_TYPE_DEPTH levels is rejected at
+parse time too (E-TYPE-TOO-DEEP), so the recursive functions below never
+reach the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .diagnostics import Diagnostic, DiagnosticBag, ERROR, WARNING, ToolError
+from .diagnostics import Diagnostic, DiagnosticBag, ERROR, WARNING, ToolError, parse_json
 
 if TYPE_CHECKING:
     from .manifest import Workspace
 
 PRIMITIVES = ("string", "number", "boolean")
+MAX_TYPE_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -90,17 +94,14 @@ class Expectation:
         return f"{self.remote}/{self.expose}#{self.export}"
 
 
-def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise ToolError("E-SYNTAX", f"duplicate key {key!r} in object")
-        seen.add(key)
-    return dict(pairs)
+def parse_type_node(node: object, path: str = "", depth: int = 1) -> TypeExpr:
+    """Convert one JSON type node into a TypeExpr, validating structure.
 
-
-def parse_type_node(node: object, path: str = "") -> TypeExpr:
-    """Convert one JSON type node into a TypeExpr, validating structure."""
+    `depth` is the node's nesting level; a node deeper than MAX_TYPE_DEPTH is
+    E-TYPE-TOO-DEEP.
+    """
+    if depth > MAX_TYPE_DEPTH:
+        raise ToolError("E-TYPE-TOO-DEEP", f"type nested deeper than {MAX_TYPE_DEPTH} levels", path)
     if not isinstance(node, dict):
         raise ToolError("E-SYNTAX", "type node must be an object", path)
     kind = node.get("kind")
@@ -109,7 +110,7 @@ def parse_type_node(node: object, path: str = "") -> TypeExpr:
     if kind == "unknown":
         return UnknownType()
     if kind == "array":
-        return ArrayType(parse_type_node(node.get("element"), path + ".element"))
+        return ArrayType(parse_type_node(node.get("element"), path + ".element", depth + 1))
     if kind == "record":
         fields = node.get("fields")
         if not isinstance(fields, dict):
@@ -122,18 +123,18 @@ def parse_type_node(node: object, path: str = "") -> TypeExpr:
             optional = spec.get("optional", False)
             if not isinstance(optional, bool):
                 raise ToolError("E-SYNTAX", '"optional" must be a boolean', fpath)
-            parsed.append(RecordField(name, parse_type_node(spec["type"], fpath), optional))
+            parsed.append(RecordField(name, parse_type_node(spec["type"], fpath, depth + 1), optional))
         return RecordType(tuple(parsed))
     if kind == "function":
         params = node.get("params", [])
         if not isinstance(params, list):
             raise ToolError("E-SYNTAX", '"params" must be an array', path)
         parsed_params = tuple(
-            parse_type_node(p, f"{path}.params[{i}]") for i, p in enumerate(params)
+            parse_type_node(p, f"{path}.params[{i}]", depth + 1) for i, p in enumerate(params)
         )
         if "returns" not in node:
             raise ToolError("E-SYNTAX", 'function type needs "returns"', path)
-        return FunctionType(parsed_params, parse_type_node(node["returns"], path + ".returns"))
+        return FunctionType(parsed_params, parse_type_node(node["returns"], path + ".returns", depth + 1))
     if kind == "ref":
         raise ToolError(
             "E-RECURSIVE-TYPE", "named type references are not supported", path
@@ -164,12 +165,7 @@ def serialize_type_node(t: TypeExpr) -> dict:
 
 
 def parse_interface(text: str) -> InterfaceDecl:
-    try:
-        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except ToolError:
-        raise
-    except (ValueError, RecursionError) as exc:
-        raise ToolError("E-SYNTAX", f"invalid JSON: {exc}") from exc
+    doc = parse_json(text, "E-SYNTAX")
     if not isinstance(doc, dict) or not isinstance(doc.get("exports"), dict):
         raise ToolError("E-SYNTAX", 'interface document needs an "exports" object')
     exports = tuple(

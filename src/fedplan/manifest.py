@@ -13,8 +13,8 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 
-from .diagnostics import Diagnostic, DiagnosticBag, ToolError
-from .interfaces import TypeExpr, _reject_duplicate_keys, parse_type_node, serialize_type_node
+from .diagnostics import Diagnostic, DiagnosticBag, ToolError, parse_json
+from .interfaces import TypeExpr, parse_type_node, serialize_type_node
 from .semver import (
     Version,
     VersionRange,
@@ -23,6 +23,11 @@ from .semver import (
     render_range,
     satisfies,
 )
+
+
+# Largest accepted sizeBytes: every count up to it converts to a float exactly,
+# so sizes, their sums and the times derived from them stay finite.
+MAX_BYTES = 2**53
 
 
 @dataclass(frozen=True)
@@ -167,6 +172,13 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _size(value, path: str) -> int:
+    size = _integer(value, path)
+    if size > MAX_BYTES:
+        raise ToolError("E-SYNTAX", "sizeBytes must be at most 2**53", path)
+    return size
+
+
 def _boolean(value, path: str) -> bool:
     if not isinstance(value, bool):
         raise ToolError("E-SYNTAX", "expected a boolean", path)
@@ -211,7 +223,7 @@ def _parse_module(obj: dict, path: str, bag: DiagnosticBag) -> ModuleDecl:
     interface = obj.get("interface")
     return ModuleDecl(
         id=_string(_require(obj, "id", path), f"{path}.id"),
-        size_bytes=_integer(obj.get("sizeBytes", 0), f"{path}.sizeBytes"),
+        size_bytes=_size(obj.get("sizeBytes", 0), f"{path}.sizeBytes"),
         static_imports=_parse_refs(_array(obj, "staticImports", path), f"{path}.staticImports"),
         dynamic_imports=_parse_refs(_array(obj, "dynamicImports", path), f"{path}.dynamicImports"),
         interface=_path(interface, f"{path}.interface") if interface is not None else None,
@@ -257,7 +269,7 @@ def _parse_shared(obj: dict, path: str, bag: DiagnosticBag) -> SharedSpec:
         singleton=_boolean(obj.get("singleton", False), f"{path}.singleton"),
         eager=_boolean(obj.get("eager", False), f"{path}.eager"),
         strict_version=_boolean(obj.get("strictVersion", False), f"{path}.strictVersion"),
-        size_bytes=_integer(obj.get("sizeBytes", 0), f"{path}.sizeBytes"),
+        size_bytes=_size(obj.get("sizeBytes", 0), f"{path}.sizeBytes"),
     )
 
 
@@ -278,12 +290,7 @@ def _parse_expect(obj: dict, path: str, bag: DiagnosticBag) -> ExpectDecl:
 
 def parse_manifest(text: str) -> tuple[FederationManifest, list[Diagnostic]]:
     """Parse one manifest document; returns the manifest plus forward-compat warnings."""
-    try:
-        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except ToolError:
-        raise
-    except (ValueError, RecursionError) as exc:
-        raise ToolError("E-SYNTAX", f"invalid JSON: {exc}") from exc
+    doc = parse_json(text, "E-SYNTAX")
     if not isinstance(doc, dict):
         raise ToolError("E-SYNTAX", "manifest must be a JSON object")
 
@@ -412,6 +419,10 @@ def validate_manifest(m: FederationManifest) -> list[Diagnostic]:
     shared_packages = set()
     for i, spec in enumerate(m.shared):
         path = f".shared[{i}]"
+        if spec.package in shared_packages:
+            bag.error(
+                "E-DUP-SHARED", f"{path}.package", f"shared package {spec.package!r} declared twice"
+            )
         shared_packages.add(spec.package)
         if spec.size_bytes < 0:
             bag.error("E-NEGATIVE-SIZE", f"{path}.sizeBytes", "sizeBytes must be >= 0")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .diagnostics import ToolError
 from .graph import KIND_SHARED, ModuleGraph, longest_path, node_label, reachable_set, topological_order
-from .shares import ShareResolution
+from .shares import ShareResolution, shared_node
 
 MANIFEST_PSEUDO_MODULE = "__manifest__"
 DEFAULT_MANIFEST_BYTES = 2000
@@ -81,44 +81,6 @@ class LoadPlan:
 
 def required_bytes(p: LoadPlan) -> int:
     return sum(r.size_bytes for r in p.requests)
-
-
-def _app_shared_copies(res: ShareResolution, app: str) -> list[tuple[tuple[str, str], int]]:
-    """Private (node key, size) copies one application would bundle pre-federation."""
-    copies = []
-    if res.scope is None:
-        return copies
-    for entry_app, spec in res.scope.entries:
-        if entry_app != app:
-            continue
-        version = spec.provided_version
-        if version is None and spec.package in res.bindings:
-            version = res.bindings[spec.package][0]
-        if version is None:
-            continue  # nothing to bundle and nothing negotiated; surfaced as E-NO-PROVIDER
-        copies.append(((app, f"{spec.package}@{version}"), spec.size_bytes))
-    return copies
-
-
-def _eager_duplicate_bytes(res: ShareResolution, apps: list[str]) -> int:
-    """Bytes beyond one canonical copy per package when every app bundles its own."""
-    per_package: dict[str, list[int]] = {}
-    canonical: dict[str, int] = {}
-    if res.scope is None:
-        return 0
-    for app in apps:
-        for (app_key, label), size in _app_shared_copies(res, app):
-            package = label.rsplit("@", 1)[0]
-            per_package.setdefault(package, []).append(size)
-    for package, sizes in per_package.items():
-        if package in res.bindings:
-            provider = res.bindings[package][1]
-            for entry_app, spec in res.scope.entries:
-                if entry_app == provider and spec.package == package:
-                    canonical[package] = spec.size_bytes
-                    break
-        canonical.setdefault(package, max(sizes))
-    return sum(sum(sizes) - canonical[pkg] for pkg, sizes in per_package.items())
 
 
 def _plan_lazy(g: ModuleGraph, res: ShareResolution) -> LoadPlan:
@@ -193,18 +155,34 @@ def _plan_prefetch(
 
 
 def _plan_eager(g: ModuleGraph, res: ShareResolution, required: set) -> LoadPlan:
+    """One self-contained bundle per application, each with its private shared copies.
+
+    Duplicate bytes are every bundled copy beyond one per package. The copy
+    kept is the provider's when the provider is bundled, else the largest.
+    """
     host = g.root[0]
     module_keys = [k for k in sorted(required) if g.nodes[k].kind != KIND_SHARED]
     apps = sorted({key[0] for key in module_keys}, key=lambda a: (a != host, a))
 
     requests = []
+    copies: dict[str, dict[str, int]] = {}  # package -> {bundling app: copy size}
     for i, app in enumerate(apps):
         payload = {k for k in module_keys if k[0] == app}
         size = sum(g.nodes[k].size_bytes for k in payload)
-        for copy_key, copy_size in _app_shared_copies(res, app):
-            if copy_key not in payload:
-                payload.add(copy_key)
-                size += copy_size
+        for package, specs in res.scope.by_package.items():
+            spec = specs.get(app)
+            if spec is None:
+                continue
+            version = spec.provided_version
+            if version is None:
+                if package not in res.bindings:
+                    continue  # nothing to bundle and nothing negotiated; surfaced as E-NO-PROVIDER
+                version = res.bindings[package][0]
+            key = shared_node(app, package, version)
+            if key not in payload:
+                payload.add(key)
+                size += spec.size_bytes
+            copies.setdefault(package, {})[app] = spec.size_bytes
         requests.append(
             FetchRequest(
                 id=i,
@@ -214,15 +192,18 @@ def _plan_eager(g: ModuleGraph, res: ShareResolution, required: set) -> LoadPlan
                 trigger=_ROOT_TRIGGER,
             )
         )
-    return LoadPlan(
-        LoadStrategy.EAGER, tuple(requests), _eager_duplicate_bytes(res, apps), g.root
-    )
+    duplicate_bytes = 0
+    for package, sizes in copies.items():
+        provider = res.bindings[package][1] if package in res.bindings else None
+        kept = sizes[provider] if provider in sizes else max(sizes.values())
+        duplicate_bytes += sum(sizes.values()) - kept
+    return LoadPlan(LoadStrategy.EAGER, tuple(requests), duplicate_bytes, g.root)
 
 
 def _plan_ssr(g: ModuleGraph, res: ShareResolution, required: set) -> LoadPlan:
     payload = set(required)
     for package, (version, provider) in res.bindings.items():
-        payload.add((provider, f"{package}@{version}"))
+        payload.add(shared_node(provider, package, version))
     size = sum(g.nodes[k].size_bytes for k in payload if k in g.nodes)
     request = FetchRequest(
         id=0,

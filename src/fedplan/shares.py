@@ -4,6 +4,12 @@ Mirrors runtime shared-scope semantics: every participant registers its
 requirement (and optionally the version it ships), the highest provided
 version wins, and each requirer either binds to the winner, falls back to
 its own copy, or surfaces a conflict.
+
+A shared spec is keyed by (application, package): manifest validation
+rejects a package declared twice by one application (E-DUP-SHARED), and
+`ShareScope.by_package` indexes the specs under that key once. The graph and
+the planner read sizes from that index, and name every copy of a package
+with `shared_node`.
 """
 
 from __future__ import annotations
@@ -21,12 +27,25 @@ class ShareScope:
     scope_name: str
     host_name: str
     entries: tuple[tuple[str, SharedSpec], ...]  # (application name, spec)
+    # package -> {application: spec}; an application's first spec of a package wins.
+    by_package: dict[str, dict[str, SharedSpec]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_package: dict[str, dict[str, SharedSpec]] = {}
+        for app, spec in self.entries:
+            by_package.setdefault(spec.package, {}).setdefault(app, spec)
+        object.__setattr__(self, "by_package", by_package)
 
     def packages(self) -> list[str]:
-        return sorted({spec.package for _, spec in self.entries})
+        return sorted(self.by_package)
 
     def entries_for(self, package: str) -> list[tuple[str, SharedSpec]]:
-        return [(app, spec) for app, spec in self.entries if spec.package == package]
+        return list(self.by_package.get(package, {}).items())
+
+
+def shared_node(app: str, package: str, version: Version) -> tuple[str, str]:
+    """Graph node key of `app`'s copy of `package` at `version`."""
+    return (app, f"{package}@{version}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +74,7 @@ class ShareResolution:
     fallbacks: tuple[tuple[str, str, Version], ...]  # (application, package, own version)
     conflicts: tuple[ShareConflict, ...]
     duplicate_bytes: int
-    scope: ShareScope = field(compare=False, default=None)
+    scope: ShareScope = field(compare=False)
 
     def to_json(self) -> dict:
         return {

@@ -92,7 +92,10 @@ def network_from_json(obj: object) -> NetworkModel:
             raise ToolError("E-BAD-NET", f"network field {key!r} must be a number")
         if key == "maxConcurrent" and not (isinstance(value, int) or value.is_integer()):
             raise ToolError("E-BAD-NET", "maxConcurrent must be a whole number")
-        kwargs[_NET_FIELDS[key]] = int(value) if key == "maxConcurrent" else float(value)
+        try:
+            kwargs[_NET_FIELDS[key]] = int(value) if key == "maxConcurrent" else float(value)
+        except OverflowError:
+            raise ToolError("E-BAD-NET", f"network field {key!r} is too large") from None
     return NetworkModel(**kwargs)
 
 

@@ -118,18 +118,31 @@ def test_missing_host_file_is_usage_error(capsys):
     assert "E-IO" in err
 
 
-def test_malformed_net_is_usage_error(capsys):
-    code, _out, err = invoke(
-        capsys,
-        "simulate",
-        "fixtures/fig1/host/federation.json",
-        "--strategy",
-        "lazy",
-        "--net",
-        "fixtures/nets/bad.json",
-    )
-    assert code == 2
-    assert "E-BAD-NET" in err
+MALFORMED_NETS = {
+    "duplicate-key": b'{"rttMs": 1, "rttMs": 2}',
+    "nested-100000": b"[" * 100000 + b"]" * 100000,
+    "non-utf8": b'{"rttMs": 1\xff}',
+    "huge-int": b'{"rttMs": ' + b"9" * 400 + b"}",
+}
+
+
+def test_malformed_net_is_usage_error(capsys, tmp_path):
+    nets = {"fixture": "fixtures/nets/bad.json"}
+    for case, data in MALFORMED_NETS.items():
+        nets[case] = tmp_path / f"{case}.json"
+        nets[case].write_bytes(data)
+    for case, net in nets.items():
+        code, _out, err = invoke(
+            capsys,
+            "simulate",
+            "fixtures/fig1/host/federation.json",
+            "--strategy",
+            "lazy",
+            "--net",
+            str(net),
+        )
+        assert code == 2, case
+        assert "E-BAD-NET" in err and "Traceback" not in err, case
 
 
 NET_FIELDS = (
@@ -206,6 +219,73 @@ def test_non_utf8_interface_is_syntax_error(capsys, tmp_path):
     [diag] = json.loads(out)["diagnostics"]
     assert (diag["code"], diag["path"]) == ("E-SYNTAX", "remote/./Header#Header")
     assert "UTF-8" in diag["message"]
+
+
+def test_duplicate_shared_package_is_validation_error(capsys, tmp_path):
+    # The second react spec used to pass validate, and the graph then sized
+    # its 99-byte fallback node with the first spec's 130000 bytes.
+    shutil.copytree(FIXTURES / "fig1_shared", tmp_path / "fig1_shared")
+    host = tmp_path / "fig1_shared" / "host" / "federation.json"
+    doc = json.loads(host.read_text())
+    doc["shared"].append({**doc["shared"][0], "requiredRange": "^17.0.0",
+                          "providedVersion": "17.0.0", "singleton": False, "sizeBytes": 99})
+    host.write_text(json.dumps(doc))
+    code, out, _err = invoke(capsys, "validate", str(host), "--format", "json")
+    assert code == 1
+    [diag] = json.loads(out)["diagnostics"]
+    assert (diag["code"], diag["path"]) == ("E-DUP-SHARED", "host:.shared[1].package")
+
+
+@pytest.mark.parametrize("where", ["modules", "shared"])
+def test_size_beyond_two_pow_53_is_syntax_error(capsys, tmp_path, where):
+    # 309 digits used to pass validate, then end simulate in an OverflowError.
+    shutil.copytree(FIXTURES / "fig1_shared", tmp_path / "fig1_shared")
+    host = tmp_path / "fig1_shared" / "host" / "federation.json"
+    doc = json.loads(host.read_text())
+    doc[where][0]["sizeBytes"] = 10**308
+    host.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "compare", str(host), "--net", "fixtures/nets/default.json",
+                            "--format", "json")
+    assert code == 1
+    [diag] = json.loads(out)["diagnostics"]
+    assert diag["code"] == "E-SYNTAX"
+    assert diag["path"] == f".{where}[0].sizeBytes"
+    assert "Traceback" not in err
+
+
+def test_sizes_at_two_pow_53_stay_exact_and_finite(capsys, tmp_path):
+    shutil.copytree(FIXTURES / "fig1_shared", tmp_path / "fig1_shared")
+    for name in ("host", "remote"):
+        path = tmp_path / "fig1_shared" / name / "federation.json"
+        doc = json.loads(path.read_text())
+        for entry in doc["modules"] + doc["shared"]:
+            entry["sizeBytes"] = 2**53
+        path.write_text(json.dumps(doc))
+    host = str(tmp_path / "fig1_shared" / "host" / "federation.json")
+    code, out, _err = invoke(capsys, "plan", host, "--strategy", "eager", "--format", "json")
+    assert code == 0
+    eager = json.loads(out)
+    bundles = [r["sizeBytes"] for r in eager["requests"]]
+    assert sum(bundles) == 2**53 * sum(len(r["payload"]) for r in eager["requests"])
+    code, out, _err = invoke(capsys, "compare", host, "--net", "fixtures/nets/default.json",
+                             "--format", "json")
+    assert code == 0
+    assert "Infinity" not in out and "NaN" not in out
+    for report in json.loads(out):
+        assert 0 < report["timeToInteractiveMs"] < float("inf")
+
+
+@pytest.mark.parametrize(
+    "value", ["-5", pytest.param("9" * 400, id="400-digits"), str(2**53 + 1), "many"]
+)
+def test_manifest_bytes_out_of_range_is_usage_error(capsys, value):
+    code, out, err = invoke(
+        capsys, "plan", "fixtures/fig1/host/federation.json", "--strategy", "prefetch",
+        "--manifest-bytes", value,
+    )
+    assert code == 2
+    assert out == ""
+    assert "--manifest-bytes" in err and "Traceback" not in err
 
 
 def _write_host(tmp_path, remotes=(), **entry_fields) -> str:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fedplan.diagnostics import ToolError
 from fedplan.interfaces import (
+    MAX_TYPE_DEPTH,
     ArrayType,
     FunctionType,
     PrimitiveType,
@@ -87,6 +88,29 @@ def test_parse_rejects_named_references():
     with pytest.raises(ToolError) as err:
         parse_type_node({"kind": "ref", "name": "Self"})
     assert err.value.code == "E-RECURSIVE-TYPE"
+
+
+def _type_chain(levels: int) -> dict:
+    """A type tree `levels` deep, nesting through arrays, records and functions."""
+    node = {"kind": "number"}
+    for i in range(levels - 1):
+        node = (
+            {"kind": "array", "element": node},
+            {"kind": "record", "fields": {"f": {"type": node}}},
+            {"kind": "function", "params": [node], "returns": {"kind": "string"}},
+            {"kind": "function", "returns": node},
+        )[i % 4]
+    return node
+
+
+def test_type_nesting_is_bounded():
+    assert parse_type_node(_type_chain(MAX_TYPE_DEPTH)) is not None
+    # 1100 levels used to overflow the recursion limit.
+    for levels in (MAX_TYPE_DEPTH + 1, 1100):
+        with pytest.raises(ToolError) as err:
+            parse_type_node(_type_chain(levels), ".x")
+        assert err.value.code == "E-TYPE-TOO-DEEP"
+        assert err.value.path.startswith(".x.")
 
 
 def test_parse_rejects_unknown_kind():

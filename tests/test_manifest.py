@@ -70,6 +70,16 @@ def test_json_nested_past_the_recursion_limit_is_syntax_error():
     assert err.value.code == "E-SYNTAX"
 
 
+def test_expected_type_nested_300_levels_is_too_deep():
+    # Well within the JSON parser's limit; validate used to accept it.
+    chain = '{"kind":"array","element":' * 299 + '{"kind":"string"}' + "}" * 299
+    text = '{"name":"r","version":"1.0.0","expects":[{"target":"remote/./X#X","interface":%s}]}' % chain
+    with pytest.raises(ToolError) as err:
+        parse_manifest(text)
+    assert err.value.code == "E-TYPE-TOO-DEEP"
+    assert err.value.path.startswith(".expects[0].interface.element")
+
+
 def test_import_ref_encoding():
     assert parse_import_ref("./Header") == LocalImport("./Header")
     assert parse_import_ref("remote/./Header") == RemoteImport("remote", "./Header")

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
-from fedplan.graph import Edge, ModuleGraph, ModuleNode, build_graph, waterfall_depth
-from fedplan.manifest import load_workspace
+import random
+from dataclasses import replace
+
+from fedplan.diagnostics import has_errors
+from fedplan.graph import KIND_SHARED, Edge, ModuleGraph, ModuleNode, build_graph, waterfall_depth
+from fedplan.manifest import load_workspace, validate_workspace
 from fedplan.planner import (
     LoadStrategy,
     MANIFEST_PSEUDO_MODULE,
@@ -9,9 +13,11 @@ from fedplan.planner import (
     plan,
     required_bytes,
 )
-from fedplan.shares import build_share_scope, empty_resolution, resolve_shares
+from fedplan.semver import parse_version
+from fedplan.shares import build_share_scope, empty_resolution, resolve_shares, shared_node
 
 from conftest import FIXTURES, app, module, shared_spec, workspace
+from test_acceptance import LOADABLE_FIXTURES
 
 
 def fig1():
@@ -194,3 +200,101 @@ def test_long_chain_depth_without_recursion():
     g = ModuleGraph(nodes, edges, keys[0])
     assert waterfall_depth(g) == n
     assert longest_chain(plan(g, empty_resolution(), LoadStrategy.LAZY)) == n
+
+
+def test_eager_duplicates_are_not_negative_when_the_provider_is_unbundled():
+    # The host bundles its own react; the winning version comes from a remote
+    # none of whose modules is reachable, so only one copy is bundled.
+    w = workspace(
+        app(
+            "host",
+            entry="entry",
+            modules=(module("entry", size=100, static=("react",)),),
+            remotes=("remote",),
+            shared=(shared_spec("react", "^18.0.0", "18.1.0", size=1000),),
+        ),
+        app(
+            "remote",
+            modules=(module("./A", size=2000),),
+            exposes=(("./A", "./A"),),
+            shared=(shared_spec("react", "^18.0.0", "18.2.0", size=5000),),
+        ),
+    )
+    res = resolve_shares(build_share_scope(w))
+    assert res.bindings == {"react": (parse_version("18.2.0"), "remote")}
+    g, _ = build_graph(w, res)
+    eager = plan(g, res, LoadStrategy.EAGER)
+    [bundle] = eager.requests
+    assert bundle.payload == {("host", "entry"), ("host", "react@18.1.0")}
+    assert bundle.size_bytes == 1100
+    assert eager.duplicate_bytes == 0
+
+
+def _random_share_workspace(rng: random.Random):
+    """Host plus remotes sharing a few packages; every package has a provider."""
+    packages = [f"pkg{i}" for i in range(rng.randint(1, 3))]
+    names = ["host"] + [f"r{i}" for i in range(rng.randint(1, 3))]
+    specs = {name: [] for name in names}
+    for name in names:
+        for package in packages:
+            if rng.random() < 0.3:
+                continue
+            provided = f"1.{rng.randint(0, 3)}.0" if rng.random() < 0.8 else None
+            required = rng.choice(["^1.0.0", "~1.1.0", "*", ">=1.2.0"])
+            singleton = rng.random() < 0.3
+            specs[name].append(
+                shared_spec(package, required, provided, singleton=singleton, size=rng.randint(1, 9) * 1000)
+            )
+    for package in packages:
+        declared = [(name, i) for name in names for i, s in enumerate(specs[name]) if s.package == package]
+        if declared and all(specs[n][i].provided_version is None for n, i in declared):
+            name, i = declared[0]
+            specs[name][i] = replace(specs[name][i], provided_version=parse_version("1.0.0"))
+    remotes = [
+        app(
+            name,
+            modules=(module("./m", static=tuple(s.package for s in specs[name])),),
+            exposes=(("./m", "./m"),),
+            shared=tuple(specs[name]),
+        )
+        for name in names[1:]
+    ]
+    mode = {name: rng.choice(["static", "dynamic", None]) for name in names[1:]}
+    host = app(
+        "host",
+        entry="entry",
+        modules=(
+            module(
+                "entry",
+                static=tuple(s.package for s in specs["host"])
+                + tuple(f"{n}/./m" for n in names[1:] if mode[n] == "static"),
+                dynamic=tuple(f"{n}/./m" for n in names[1:] if mode[n] == "dynamic"),
+            ),
+        ),
+        remotes=tuple(names[1:]),
+        shared=tuple(specs["host"]),
+    )
+    return workspace(host, *remotes)
+
+
+def test_share_sizes_agree_across_resolution_graph_and_eager_plan():
+    workspaces = [
+        load_workspace(str(FIXTURES / fixture / "host" / "federation.json"))[0]
+        for fixture in LOADABLE_FIXTURES
+    ]
+    rng = random.Random(7)
+    workspaces += [_random_share_workspace(rng) for _ in range(50)]
+    for w in workspaces:
+        assert not has_errors(validate_workspace(w))
+        res = resolve_shares(build_share_scope(w))
+        g, _ = build_graph(w, res)
+        for (app_name, label), node in g.nodes.items():
+            if node.kind != KIND_SHARED:
+                continue
+            package = label.rpartition("@")[0]
+            declaring = next(s for s in w.app(app_name).shared if s.package == package)
+            assert node.size_bytes == declaring.size_bytes
+        assert res.duplicate_bytes == sum(
+            g.nodes[shared_node(a, package, version)].size_bytes for a, package, version in res.fallbacks
+        )
+        assert plan(g, res, LoadStrategy.EAGER).duplicate_bytes >= 0
