@@ -14,7 +14,7 @@ import os
 import sys
 
 from .diagnostics import Diagnostic, ERROR, ToolError, has_errors, parse_json
-from .graph import ModuleGraph, build_graph, export_dot, graph_to_json
+from .graph import ModuleGraph, build_graph, export_dot, graph_to_json, node_label
 from .interfaces import check_compatibility, collect_expectations
 from .manifest import MAX_BYTES, Workspace, load_workspace, validate_workspace
 from .planner import DEFAULT_MANIFEST_BYTES, LoadStrategy, plan
@@ -176,7 +176,7 @@ def cmd_plan(args: argparse.Namespace, out: _Output) -> int:
         rows = [
             [
                 str(r.id),
-                ",".join(sorted(f"{a}/{m}" for a, m in r.payload)),
+                ",".join(sorted(node_label(key) for key in r.payload)),
                 str(r.size_bytes),
                 ",".join(str(d) for d in sorted(r.depends_on)) or "-",
             ]

@@ -245,14 +245,8 @@ def is_subtype(actual: TypeExpr, expected: TypeExpr) -> bool:
 
 
 def collect_expectations(w: "Workspace") -> list[Expectation]:
-    """Gather every "expects" declaration in the workspace, consumer-tagged."""
-    out: list[Expectation] = []
-    for app in w.applications():
-        for decl in app.expects:
-            out.append(
-                Expectation(app.name, decl.remote, decl.expose, decl.export, decl.expected)
-            )
-    return out
+    """Gather every "expects" declaration in the workspace; each names its consumer."""
+    return [exp for app in w.applications() for exp in app.expects]
 
 
 def _load_declared_interface(

@@ -5,6 +5,11 @@ references, and shared dependencies. A workspace is the host manifest plus
 the transitive closure of remote manifests it references, each loaded exactly
 once. Unknown fields warn instead of erroring: independently deployed teams
 evolve their manifests on their own schedules.
+
+Every field decodes through `_field` with value checks that take no path:
+an error's location is formatted in one place, and only when a field fails,
+as are `validate_manifest`'s paths. An `expects` entry decodes straight into
+an `interfaces.Expectation` whose consumer is the manifest's own name.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .diagnostics import Diagnostic, DiagnosticBag, ToolError, parse_json
-from .interfaces import TypeExpr, parse_type_node, serialize_type_node
+from .interfaces import Expectation, parse_type_node, serialize_type_node
 from .semver import (
     Version,
     VersionRange,
@@ -97,16 +102,6 @@ class SharedSpec:
 
 
 @dataclass(frozen=True)
-class ExpectDecl:
-    """Consumer-side type expectation: remote/expose#export must accept `expected`."""
-
-    remote: str
-    expose: str
-    export: str
-    expected: TypeExpr
-
-
-@dataclass(frozen=True)
 class FederationManifest:
     name: str
     version: Version
@@ -115,7 +110,7 @@ class FederationManifest:
     exposes: tuple[ExposeDecl, ...]
     remotes: tuple[RemoteRef, ...]
     shared: tuple[SharedSpec, ...]
-    expects: tuple[ExpectDecl, ...] = ()
+    expects: tuple[Expectation, ...] = ()
     base_dir: str | None = field(default=None, compare=False)
 
     def module(self, module_id: str) -> ModuleDecl | None:
@@ -147,180 +142,157 @@ _SHARED_KEYS = {
 _EXPECT_KEYS = {"target", "interface"}
 
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ToolError("E-MISSING-FIELD", "required field missing", f"{path}.{key}")
-    return obj[key]
+_ABSENT = object()
 
 
-def _string(value, path: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ToolError("E-SYNTAX", "expected a non-empty string", path)
+def _field(obj: dict, key: str, path: str, *checks, default=_ABSENT):
+    """Decode obj[key] through `checks`, applied in order, each to the last one's result.
+
+    An absent key gives `default`, or E-MISSING-FIELD when there is none; an
+    explicit null counts as absent where the default is None. A check's
+    ToolError is raised again at `{path}.{key}` followed by the check's own
+    relative path (a ref's "[j]", a type node's ".element..."), so a location
+    is formatted only for a field that fails.
+    """
+    value = obj.get(key, _ABSENT)
+    if value is _ABSENT:
+        if default is _ABSENT:
+            raise ToolError("E-MISSING-FIELD", "required field missing", f"{path}.{key}")
+        return default
+    if value is None and default is None:
+        return None
+    try:
+        for check in checks:
+            value = check(value)
+    except ToolError as exc:
+        raise ToolError(exc.code, exc.message, f"{path}.{key}{exc.path}") from exc
     return value
 
 
-def _path(value, path: str) -> str:
-    text = _string(value, path)
+def _string(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ToolError("E-SYNTAX", "expected a non-empty string")
+    return value
+
+
+def _path(value) -> str:
+    text = _string(value)
     if "\0" in text:
-        raise ToolError("E-SYNTAX", "a path must not contain a NUL character", path)
+        raise ToolError("E-SYNTAX", "a path must not contain a NUL character")
     return text
 
 
-def _integer(value, path: str) -> int:
+def _size(value) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ToolError("E-SYNTAX", "expected an integer", path)
+        raise ToolError("E-SYNTAX", "expected an integer")
+    if value > MAX_BYTES:
+        raise ToolError("E-SYNTAX", "sizeBytes must be at most 2**53")
     return value
 
 
-def _size(value, path: str) -> int:
-    size = _integer(value, path)
-    if size > MAX_BYTES:
-        raise ToolError("E-SYNTAX", "sizeBytes must be at most 2**53", path)
-    return size
-
-
-def _boolean(value, path: str) -> bool:
+def _boolean(value) -> bool:
     if not isinstance(value, bool):
-        raise ToolError("E-SYNTAX", "expected a boolean", path)
+        raise ToolError("E-SYNTAX", "expected a boolean")
     return value
 
 
-def _array(obj: dict, key: str, path: str) -> list:
-    value = obj.get(key, [])
+def _array(value) -> list:
     if not isinstance(value, list):
-        raise ToolError("E-SYNTAX", "expected an array", f"{path}.{key}")
+        raise ToolError("E-SYNTAX", "expected an array")
     return value
 
 
-def _warn_unknown(obj: dict, known: set, path: str, bag: DiagnosticBag) -> None:
+def _refs(value) -> tuple:
+    refs = []
+    for j, text in enumerate(_array(value)):
+        try:
+            refs.append(parse_import_ref(_string(text)))
+        except ToolError as exc:
+            raise ToolError(exc.code, exc.message, f"[{j}]") from exc
+    return tuple(refs)
+
+
+def _target(text: str) -> tuple[str, str, str]:
+    """Split "remote/expose#export"."""
+    ref, sep, export = text.rpartition("#")
+    if not sep or not export or "/" not in ref:
+        raise ToolError("E-SYNTAX", f'target must look like "remote/expose#export", got {text!r}')
+    remote, expose = ref.split("/", 1)
+    return remote, expose, export
+
+
+def _record(obj, path: str, known: set, bag: DiagnosticBag, error: str) -> None:
+    """Entry prologue: `obj` must be an object; its unknown keys warn."""
+    if not isinstance(obj, dict):
+        raise ToolError("E-SYNTAX", error, path)
     for key in obj:
         if key not in known:
             bag.warning("W-UNKNOWN-FIELD", f"{path}.{key}", f"unknown field {key!r} ignored")
 
 
-def _wrap_version(text: str, path: str) -> Version:
-    try:
-        return parse_version(text)
-    except ToolError as exc:
-        raise ToolError(exc.code, exc.message, path) from exc
-
-
-def _wrap_range(text: str, path: str) -> VersionRange:
-    try:
-        return parse_range(text)
-    except ToolError as exc:
-        raise ToolError(exc.code, exc.message, path) from exc
-
-
-def _parse_refs(values: list, path: str) -> tuple:
-    return tuple(parse_import_ref(_string(v, f"{path}[{i}]")) for i, v in enumerate(values))
-
-
-def _parse_module(obj: dict, path: str, bag: DiagnosticBag) -> ModuleDecl:
-    if not isinstance(obj, dict):
-        raise ToolError("E-SYNTAX", "module entry must be an object", path)
-    _warn_unknown(obj, _MODULE_KEYS, path, bag)
-    interface = obj.get("interface")
+def _parse_module(obj, path: str, bag: DiagnosticBag) -> ModuleDecl:
+    _record(obj, path, _MODULE_KEYS, bag, "module entry must be an object")
     return ModuleDecl(
-        id=_string(_require(obj, "id", path), f"{path}.id"),
-        size_bytes=_size(obj.get("sizeBytes", 0), f"{path}.sizeBytes"),
-        static_imports=_parse_refs(_array(obj, "staticImports", path), f"{path}.staticImports"),
-        dynamic_imports=_parse_refs(_array(obj, "dynamicImports", path), f"{path}.dynamicImports"),
-        interface=_path(interface, f"{path}.interface") if interface is not None else None,
+        id=_field(obj, "id", path, _string),
+        size_bytes=_field(obj, "sizeBytes", path, _size, default=0),
+        static_imports=_field(obj, "staticImports", path, _refs, default=()),
+        dynamic_imports=_field(obj, "dynamicImports", path, _refs, default=()),
+        interface=_field(obj, "interface", path, _path, default=None),
     )
 
 
-def _parse_expose(obj: dict, path: str, bag: DiagnosticBag) -> ExposeDecl:
-    if not isinstance(obj, dict):
-        raise ToolError("E-SYNTAX", "expose entry must be an object", path)
-    _warn_unknown(obj, _EXPOSE_KEYS, path, bag)
-    return ExposeDecl(
-        id=_string(_require(obj, "id", path), f"{path}.id"),
-        module=_string(_require(obj, "module", path), f"{path}.module"),
-    )
+def _parse_expose(obj, path: str, bag: DiagnosticBag) -> ExposeDecl:
+    _record(obj, path, _EXPOSE_KEYS, bag, "expose entry must be an object")
+    return ExposeDecl(_field(obj, "id", path, _string), _field(obj, "module", path, _string))
 
 
-def _parse_remote(obj: dict, path: str, bag: DiagnosticBag) -> RemoteRef:
-    if not isinstance(obj, dict):
-        raise ToolError("E-SYNTAX", "remote entry must be an object", path)
-    _warn_unknown(obj, _REMOTE_KEYS, path, bag)
-    return RemoteRef(
-        name=_string(_require(obj, "name", path), f"{path}.name"),
-        manifest_path=_path(_require(obj, "manifest", path), f"{path}.manifest"),
-    )
+def _parse_remote(obj, path: str, bag: DiagnosticBag) -> RemoteRef:
+    _record(obj, path, _REMOTE_KEYS, bag, "remote entry must be an object")
+    return RemoteRef(_field(obj, "name", path, _string), _field(obj, "manifest", path, _path))
 
 
-def _parse_shared(obj: dict, path: str, bag: DiagnosticBag) -> SharedSpec:
-    if not isinstance(obj, dict):
-        raise ToolError("E-SYNTAX", "shared entry must be an object", path)
-    _warn_unknown(obj, _SHARED_KEYS, path, bag)
-    provided = obj.get("providedVersion")
+def _parse_shared(obj, path: str, bag: DiagnosticBag) -> SharedSpec:
+    _record(obj, path, _SHARED_KEYS, bag, "shared entry must be an object")
     return SharedSpec(
-        package=_string(_require(obj, "package", path), f"{path}.package"),
-        required_range=_wrap_range(
-            _string(_require(obj, "requiredRange", path), f"{path}.requiredRange"),
-            f"{path}.requiredRange",
-        ),
-        provided_version=(
-            _wrap_version(_string(provided, f"{path}.providedVersion"), f"{path}.providedVersion")
-            if provided is not None
-            else None
-        ),
-        singleton=_boolean(obj.get("singleton", False), f"{path}.singleton"),
-        eager=_boolean(obj.get("eager", False), f"{path}.eager"),
-        strict_version=_boolean(obj.get("strictVersion", False), f"{path}.strictVersion"),
-        size_bytes=_size(obj.get("sizeBytes", 0), f"{path}.sizeBytes"),
+        package=_field(obj, "package", path, _string),
+        required_range=_field(obj, "requiredRange", path, _string, parse_range),
+        provided_version=_field(obj, "providedVersion", path, _string, parse_version, default=None),
+        singleton=_field(obj, "singleton", path, _boolean, default=False),
+        eager=_field(obj, "eager", path, _boolean, default=False),
+        strict_version=_field(obj, "strictVersion", path, _boolean, default=False),
+        size_bytes=_field(obj, "sizeBytes", path, _size, default=0),
     )
 
 
-def _parse_expect(obj: dict, path: str, bag: DiagnosticBag) -> ExpectDecl:
-    if not isinstance(obj, dict):
-        raise ToolError("E-SYNTAX", "expects entry must be an object", path)
-    _warn_unknown(obj, _EXPECT_KEYS, path, bag)
-    target = _string(_require(obj, "target", path), f"{path}.target")
-    ref, sep, export = target.rpartition("#")
-    if not sep or not export or "/" not in ref:
-        raise ToolError(
-            "E-SYNTAX", f'target must look like "remote/expose#export", got {target!r}', f"{path}.target"
-        )
-    remote, expose = ref.split("/", 1)
-    expected = parse_type_node(_require(obj, "interface", path), f"{path}.interface")
-    return ExpectDecl(remote, expose, export, expected)
+def _parse_expect(obj, path: str, bag: DiagnosticBag, consumer: str) -> Expectation:
+    _record(obj, path, _EXPECT_KEYS, bag, "expects entry must be an object")
+    remote, expose, export = _field(obj, "target", path, _string, _target)
+    return Expectation(consumer, remote, expose, export, _field(obj, "interface", path, parse_type_node))
+
+
+def _entries(doc: dict, key: str, parse, bag: DiagnosticBag, *args) -> tuple:
+    """Decode the array doc[key] with `parse`, one entry at a time."""
+    return tuple(
+        parse(obj, f".{key}[{i}]", bag, *args)
+        for i, obj in enumerate(_field(doc, key, "", _array, default=()))
+    )
 
 
 def parse_manifest(text: str) -> tuple[FederationManifest, list[Diagnostic]]:
     """Parse one manifest document; returns the manifest plus forward-compat warnings."""
     doc = parse_json(text, "E-SYNTAX")
-    if not isinstance(doc, dict):
-        raise ToolError("E-SYNTAX", "manifest must be a JSON object")
-
     bag = DiagnosticBag()
-    _warn_unknown(doc, _TOP_KEYS, "", bag)
-    entry = doc.get("entry")
+    _record(doc, "", _TOP_KEYS, bag, "manifest must be a JSON object")
+    name = _field(doc, "name", "", _string)
     manifest = FederationManifest(
-        name=_string(_require(doc, "name", ""), ".name"),
-        version=_wrap_version(_string(_require(doc, "version", ""), ".version"), ".version"),
-        entry=_string(entry, ".entry") if entry is not None else None,
-        modules=tuple(
-            _parse_module(m, f".modules[{i}]", bag)
-            for i, m in enumerate(_array(doc, "modules", ""))
-        ),
-        exposes=tuple(
-            _parse_expose(e, f".exposes[{i}]", bag)
-            for i, e in enumerate(_array(doc, "exposes", ""))
-        ),
-        remotes=tuple(
-            _parse_remote(r, f".remotes[{i}]", bag)
-            for i, r in enumerate(_array(doc, "remotes", ""))
-        ),
-        shared=tuple(
-            _parse_shared(s, f".shared[{i}]", bag)
-            for i, s in enumerate(_array(doc, "shared", ""))
-        ),
-        expects=tuple(
-            _parse_expect(x, f".expects[{i}]", bag)
-            for i, x in enumerate(_array(doc, "expects", ""))
-        ),
+        name=name,
+        version=_field(doc, "version", "", _string, parse_version),
+        entry=_field(doc, "entry", "", _string, default=None),
+        modules=_entries(doc, "modules", _parse_module, bag),
+        exposes=_entries(doc, "exposes", _parse_expose, bag),
+        remotes=_entries(doc, "remotes", _parse_remote, bag),
+        shared=_entries(doc, "shared", _parse_shared, bag),
+        expects=_entries(doc, "expects", _parse_expect, bag, name),
     )
     return manifest, bag.items
 
@@ -360,7 +332,7 @@ def manifest_to_json(m: FederationManifest) -> dict:
     if m.expects:
         doc["expects"] = [
             {
-                "target": f"{x.remote}/{x.expose}#{x.export}",
+                "target": x.target(),
                 "interface": serialize_type_node(x.expected),
             }
             for x in m.expects
@@ -379,28 +351,24 @@ def validate_manifest(m: FederationManifest) -> list[Diagnostic]:
 
     module_ids = set()
     for i, mod in enumerate(m.modules):
-        path = f".modules[{i}]"
         if mod.id in module_ids:
-            bag.error("E-DUP-MODULE", f"{path}.id", f"module {mod.id!r} declared twice")
+            bag.error("E-DUP-MODULE", f".modules[{i}].id", f"module {mod.id!r} declared twice")
         module_ids.add(mod.id)
         if mod.size_bytes < 0:
-            bag.error("E-NEGATIVE-SIZE", f"{path}.sizeBytes", "sizeBytes must be >= 0")
+            bag.error("E-NEGATIVE-SIZE", f".modules[{i}].sizeBytes", "sizeBytes must be >= 0")
         dup = set(mod.static_imports) & set(mod.dynamic_imports)
         for ref in sorted(render_import_ref(r) for r in dup):
-            bag.error(
-                "E-DUP-IMPORT", path, f"import {ref!r} is both static and dynamic"
-            )
+            bag.error("E-DUP-IMPORT", f".modules[{i}]", f"import {ref!r} is both static and dynamic")
 
     expose_ids = set()
     for i, exp in enumerate(m.exposes):
-        path = f".exposes[{i}]"
         if exp.id in expose_ids:
-            bag.error("E-DUP-EXPOSE", f"{path}.id", f"expose {exp.id!r} declared twice")
+            bag.error("E-DUP-EXPOSE", f".exposes[{i}].id", f"expose {exp.id!r} declared twice")
         expose_ids.add(exp.id)
         if exp.module not in module_ids:
             bag.error(
                 "E-DANGLING-EXPOSE",
-                f"{path}.module",
+                f".exposes[{i}].module",
                 f"expose {exp.id!r} points at undeclared module {exp.module!r}",
             )
 
@@ -409,29 +377,27 @@ def validate_manifest(m: FederationManifest) -> list[Diagnostic]:
 
     remote_names = set()
     for i, remote in enumerate(m.remotes):
-        path = f".remotes[{i}].name"
         if remote.name in remote_names:
-            bag.error("E-DUP-REMOTE", path, f"remote {remote.name!r} declared twice")
+            bag.error("E-DUP-REMOTE", f".remotes[{i}].name", f"remote {remote.name!r} declared twice")
         remote_names.add(remote.name)
         if remote.name == m.name:
-            bag.error("E-SELF-REMOTE", path, "remote name equals the manifest's own name")
+            bag.error("E-SELF-REMOTE", f".remotes[{i}].name", "remote name equals the manifest's own name")
 
     shared_packages = set()
     for i, spec in enumerate(m.shared):
-        path = f".shared[{i}]"
         if spec.package in shared_packages:
             bag.error(
-                "E-DUP-SHARED", f"{path}.package", f"shared package {spec.package!r} declared twice"
+                "E-DUP-SHARED", f".shared[{i}].package", f"shared package {spec.package!r} declared twice"
             )
         shared_packages.add(spec.package)
         if spec.size_bytes < 0:
-            bag.error("E-NEGATIVE-SIZE", f"{path}.sizeBytes", "sizeBytes must be >= 0")
+            bag.error("E-NEGATIVE-SIZE", f".shared[{i}].sizeBytes", "sizeBytes must be >= 0")
         if spec.provided_version is not None and not satisfies(
             spec.required_range, spec.provided_version
         ):
             bag.warning(
                 "W-SELF-RANGE",
-                f"{path}.providedVersion",
+                f".shared[{i}].providedVersion",
                 f"provided {spec.provided_version} does not satisfy own range "
                 f"{render_range(spec.required_range)!r}",
             )
@@ -439,19 +405,20 @@ def validate_manifest(m: FederationManifest) -> list[Diagnostic]:
     for i, mod in enumerate(m.modules):
         for group, refs in (("staticImports", mod.static_imports), ("dynamicImports", mod.dynamic_imports)):
             for j, ref in enumerate(refs):
-                path = f".modules[{i}].{group}[{j}]"
-                if isinstance(ref, LocalImport) and ref.module not in module_ids:
-                    bag.error(
-                        "E-DANGLING-LOCAL", path, f"import of undeclared module {ref.module!r}"
-                    )
-                elif isinstance(ref, RemoteImport) and ref.remote not in remote_names:
-                    bag.error(
-                        "E-UNDECLARED-REMOTE", path, f"import from undeclared remote {ref.remote!r}"
-                    )
-                elif isinstance(ref, SharedImport) and ref.package not in shared_packages:
-                    bag.error(
-                        "E-UNDECLARED-SHARED", path, f"import of undeclared shared package {ref.package!r}"
-                    )
+                if isinstance(ref, LocalImport):
+                    if ref.module in module_ids:
+                        continue
+                    code, message = "E-DANGLING-LOCAL", f"import of undeclared module {ref.module!r}"
+                elif isinstance(ref, RemoteImport):
+                    if ref.remote in remote_names:
+                        continue
+                    code, message = "E-UNDECLARED-REMOTE", f"import from undeclared remote {ref.remote!r}"
+                elif ref.package in shared_packages:
+                    continue
+                else:
+                    code = "E-UNDECLARED-SHARED"
+                    message = f"import of undeclared shared package {ref.package!r}"
+                bag.error(code, f".modules[{i}].{group}[{j}]", message)
 
     return bag.items
 

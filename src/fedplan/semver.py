@@ -1,9 +1,9 @@
 """Semantic versions and version ranges.
 
 Versions are plain MAJOR.MINOR.PATCH triples (no prerelease or build
-suffixes). Ranges normalize to a union of disjoint half-open intervals
-[lo, hi), which makes intersection, emptiness, and equality decidable by
-an interval sweep. Because version components are integers, closed upper
+suffixes) whose components are at most MAX_COMPONENT = 2**53-1. Ranges
+normalize to a union of disjoint half-open intervals [lo, hi), which makes
+intersection, emptiness, and equality decidable by an interval sweep. Because version components are integers, closed upper
 bounds are folded into half-open ones via the patch successor: "<=1.2.3"
 and "<1.2.4" admit exactly the same versions.
 """
@@ -17,6 +17,10 @@ from .diagnostics import ToolError
 
 _VERSION_RE = re.compile(r"^(\d+)\.(\d+)\.(\d+)$")
 _ATOM_RE = re.compile(r"^(>=|<=|>|<|=|\^|~)?(\d+)\.(\d+)\.(\d+)$")
+
+# Largest version component, as in node-semver (Number.MAX_SAFE_INTEGER).
+MAX_COMPONENT = 2**53 - 1
+_MAX_DIGITS = len(str(MAX_COMPONENT))
 
 
 @dataclass(frozen=True, order=True)
@@ -55,6 +59,22 @@ EMPTY_RANGE = VersionRange(())
 UNIVERSAL_RANGE = VersionRange(((ZERO, None),))
 
 
+def _components(digits: tuple[str, str, str], code: str, text: str) -> Version:
+    """The Version of three digit strings; a component above MAX_COMPONENT is `code`.
+
+    The length check comes before int(), so no digit run reaches the
+    interpreter's limit on integer string conversion.
+    """
+    parts = []
+    for run in digits:
+        run = run.lstrip("0") or "0"
+        value = int(run) if len(run) <= _MAX_DIGITS else MAX_COMPONENT + 1
+        if value > MAX_COMPONENT:
+            raise ToolError(code, f"version components must be at most {MAX_COMPONENT}, got {text!r}")
+        parts.append(value)
+    return Version(*parts)
+
+
 def parse_version(text: str) -> Version:
     m = _VERSION_RE.match(text.strip())
     if not m:
@@ -62,7 +82,7 @@ def parse_version(text: str) -> Version:
             "E-BAD-VERSION",
             f"expected MAJOR.MINOR.PATCH with decimal components, got {text!r}",
         )
-    return Version(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    return _components(m.groups(), "E-BAD-VERSION", text)
 
 
 def _succ_patch(v: Version) -> Version:
@@ -89,7 +109,7 @@ def _atom_interval(atom: str) -> tuple[Version, Version | None]:
     if not m:
         raise ToolError("E-BAD-RANGE", f"unsupported range token {atom!r}")
     op = m.group(1) or "="
-    v = Version(int(m.group(2)), int(m.group(3)), int(m.group(4)))
+    v = _components(m.groups()[1:], "E-BAD-RANGE", atom)
     if op == "=":
         return (v, _succ_patch(v))
     if op == ">=":

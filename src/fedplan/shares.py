@@ -24,7 +24,6 @@ from .semver import Version, render_range, satisfies
 class ShareScope:
     """All SharedSpecs in one negotiation arena, tagged by application."""
 
-    scope_name: str
     host_name: str
     entries: tuple[tuple[str, SharedSpec], ...]  # (application name, spec)
     # package -> {application: spec}; an application's first spec of a package wins.
@@ -92,12 +91,12 @@ class ShareResolution:
 
 
 def build_share_scope(w: Workspace) -> ShareScope:
-    """Collect every SharedSpec from host and remotes into the "default" scope."""
+    """Collect every SharedSpec from host and remotes into one scope."""
     entries: list[tuple[str, SharedSpec]] = []
     for app in w.applications():
         for spec in app.shared:
             entries.append((app.name, spec))
-    return ShareScope("default", w.host.name, tuple(entries))
+    return ShareScope(w.host.name, tuple(entries))
 
 
 def _choose_provider(
@@ -178,4 +177,4 @@ def resolve_shares(scope: ShareScope) -> ShareResolution:
 
 def empty_resolution() -> ShareResolution:
     """Resolution of a workspace with no shared packages (handy for tests/demos)."""
-    return ShareResolution({}, (), (), 0, ShareScope("default", "", ()))
+    return ShareResolution({}, (), (), 0, ShareScope("", ()))

@@ -116,7 +116,7 @@ def _random_scope(rng: random.Random) -> ShareScope:
                     ),
                 )
             )
-    return ShareScope("default", "host", tuple(entries))
+    return ShareScope("host", tuple(entries))
 
 
 def test_criterion_2_share_resolution_laws():

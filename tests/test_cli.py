@@ -461,3 +461,131 @@ def test_closed_stdout_pipe_is_io_failure_without_traceback():
         os.close(write_end)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-types"],
+        ["plan", "--strategy", "lazy"],
+        ["compare", "--net", "fixtures/nets/default.json"],
+    ],
+    ids=["check-types", "plan", "compare"],
+)
+def test_validation_errors_end_analysis_commands(capsys, argv):
+    host = "fixtures/invalid_manifest/host/federation.json"
+    code, out, _err = invoke(capsys, argv[0], host, *argv[1:], "--format", "json")
+    assert code == 1
+    doc = json.loads(out)  # exactly one JSON document
+    assert list(doc) == ["diagnostics"]
+    assert [(d["code"], d["path"]) for d in doc["diagnostics"]] == [
+        ("E-DANGLING-EXPOSE", "host:.exposes[0].module")
+    ]
+    code, out, err = invoke(capsys, argv[0], host, *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert "E-DANGLING-EXPOSE host:.exposes[0].module" in err
+
+
+def test_plan_table_mode(capsys):
+    code, out, _err = invoke(capsys, "plan", "fixtures/fig1/host/federation.json", "--strategy", "prefetch")
+    assert code == 0
+    assert [line.split() for line in out.splitlines()[2:]] == [
+        ["0", "remote/__manifest__", "2000", "-"],
+        ["1", "host/entry", "10000", "-"],
+        ["2", "remote/./Header", "10000", "0"],
+        ["3", "remote/./Nav", "10000", "0"],
+    ]
+
+
+def test_simulate_table_mode(capsys):
+    code, out, _err = invoke(
+        capsys, "simulate", "fixtures/fig1/host/federation.json", "--strategy", "lazy",
+        "--net", "fixtures/nets/default.json",
+    )
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()]
+    assert rows[0] == ["strategy", "firstRenderMs", "interactiveMs", "bytes", "requests", "rounds", "maxConc"]
+    assert rows[2] == ["lazy", "200", "600", "30000", "3", "3", "1"]
+    assert rows[3] == ["request", "start", "headers", "done", "parsed", "bytes"]
+    assert rows[5:] == [
+        ["0", "0", "100", "200", "200", "10000"],
+        ["1", "200", "300", "400", "400", "10000"],
+        ["2", "400", "500", "600", "600", "10000"],
+    ]
+
+
+def test_trace_table_mode(capsys, tmp_path):
+    out_file = tmp_path / "spans.jsonl"
+    code, out, _err = invoke(
+        capsys, "trace", "fixtures/fig1/host/federation.json", "--strategy", "lazy",
+        "--net", "fixtures/nets/default.json", "--out", str(out_file),
+    )
+    assert code == 0
+    assert out == f"wrote 7 span(s) to {out_file}\n"
+    assert out_file.read_text() == (GOLDEN / "trace_lazy_fig1.jsonl").read_text()
+
+
+def test_resolve_shared_table_mode_lists_fallbacks(capsys):
+    code, out, _err = invoke(capsys, "resolve-shared", "fixtures/fallback/host/federation.json")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2].split() == ["lodash", "4.17.21", "host"]
+    assert lines[3] == "fallbacks: remote:lodash@3.10.1 (duplicateBytes=60000)"
+
+
+def test_missing_net_file_is_io_usage_error(capsys, tmp_path):
+    net = str(tmp_path / "nope.json")
+    code, out, err = invoke(
+        capsys, "simulate", "fixtures/fig1/host/federation.json", "--strategy", "lazy", "--net", net,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error E-IO {net}: cannot read network model:")
+
+
+def test_trace_out_directory_is_io_usage_error(capsys, tmp_path):
+    code, out, err = invoke(
+        capsys, "trace", "fixtures/fig1/host/federation.json", "--strategy", "lazy",
+        "--net", "fixtures/nets/default.json", "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error E-IO {tmp_path}: cannot write trace:")
+
+
+def test_manifest_bytes_zero_sizes_the_prefetch_manifest_request(capsys):
+    code, out, _err = invoke(
+        capsys, "plan", "fixtures/fig1/host/federation.json", "--strategy", "prefetch",
+        "--manifest-bytes", "0", "--format", "json",
+    )
+    assert code == 0
+    manifest_request = json.loads(out)["requests"][0]
+    assert manifest_request["payload"] == ["remote/__manifest__"]
+    assert manifest_request["sizeBytes"] == 0
+    assert manifest_request["trigger"] == {"kind": "manifest"}
+
+
+@pytest.mark.parametrize(
+    "where,value,code",
+    [
+        ("version", "9" * 5000 + ".0.0", "E-BAD-VERSION"),
+        ("providedVersion", "4.17." + "9" * 5000, "E-BAD-VERSION"),
+        ("requiredRange", "^" + "9" * 5000 + ".0.0", "E-BAD-RANGE"),
+    ],
+    ids=["version", "providedVersion", "requiredRange"],
+)
+def test_5000_digit_version_component_is_content_error(capsys, tmp_path, where, value, code):
+    # int() used to end these in "ValueError: Exceeds the limit (4300 digits)".
+    shutil.copytree(FIXTURES / "fallback", tmp_path / "fallback")
+    host = tmp_path / "fallback" / "host" / "federation.json"
+    doc = json.loads(host.read_text())
+    target = doc if where == "version" else doc["shared"][0]
+    target[where] = value
+    host.write_text(json.dumps(doc))
+    code_out, out, err = invoke(capsys, "resolve-shared", str(host), "--format", "json")
+    assert code_out == 1
+    [diag] = json.loads(out)["diagnostics"]
+    path = ".version" if where == "version" else f".shared[0].{where}"
+    assert (diag["code"], diag["path"]) == (code, path)
+    assert "Traceback" not in err

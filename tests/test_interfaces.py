@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -315,3 +316,34 @@ def test_no_interface_is_warning_unless_strict(tmp_path: Path):
     assert [(d.code, d.severity) for d in relaxed] == [("E-NO-INTERFACE", "warning")]
     strict = check_compatibility(w, expectations, strict_types=True)
     assert [(d.code, d.severity) for d in strict] == [("E-NO-INTERFACE", "error")]
+
+
+def test_check_compatibility_dangling_remote_and_expose():
+    from dataclasses import replace
+
+    w = _fig1_workspace()
+    exp = collect_expectations(w)[0]
+    diags = check_compatibility(w, [replace(exp, remote="ghost"), replace(exp, expose="./Footer")])
+    assert [(d.code, d.path, d.message) for d in diags] == [
+        ("E-DANGLING-REMOTE", "ghost/./Header#Header", "host declares no remote 'ghost'"),
+        ("E-DANGLING-REMOTE", "remote/./Footer#Header", "remote exposes no './Footer'"),
+    ]
+
+
+@pytest.mark.parametrize("interface", [None, "{}"], ids=["missing", "malformed"])
+def test_check_compatibility_unusable_interface_file(tmp_path: Path, interface):
+    shutil.copytree(FIXTURES / "fig1", tmp_path / "fig1")
+    interface_file = tmp_path / "fig1" / "remote" / "Header.interface.json"
+    if interface is None:
+        interface_file.unlink()
+    else:
+        interface_file.write_text(interface)
+    w, _ = load_workspace(str(tmp_path / "fig1" / "host" / "federation.json"))
+    [diag] = check_compatibility(w, collect_expectations(w))
+    assert (diag.path, diag.severity) == ("remote/./Header#Header", "error")
+    if interface is None:
+        assert diag.code == "E-IO"
+        assert diag.message.startswith(f"cannot read interface file {interface_file}")
+    else:
+        assert diag.code == "E-SYNTAX"
+        assert diag.message == f'{interface_file}: interface document needs an "exports" object'

@@ -300,3 +300,188 @@ def test_load_workspace_missing_file_is_io_error(tmp_path: Path):
     with pytest.raises(ToolError) as err:
         load_workspace(str(tmp_path / "nope" / "federation.json"))
     assert err.value.code == "E-IO"
+
+
+# Pinned decoder errors: one malformed manifest per row, with the exact
+# (code, message, path) that parse_manifest raises for it.
+
+
+def _doc(**top) -> str:
+    return json.dumps({"name": "r", "version": "1.0.0", **top})
+
+
+_MODULE = {"id": "./A", "sizeBytes": 1, "staticImports": [], "dynamicImports": []}
+_SHARED = {"package": "react", "requiredRange": "^18.0.0"}
+_EXPECT = {"target": "remote/./X#X", "interface": {"kind": "string"}}
+
+
+def _module(**fields) -> str:
+    return _doc(modules=[{**_MODULE, **fields}])
+
+
+def _shared(**fields) -> str:
+    return _doc(shared=[{**_SHARED, **fields}])
+
+
+def _expect(**fields) -> str:
+    return _doc(expects=[{**_EXPECT, **fields}])
+
+
+def _type(node) -> str:
+    return _expect(interface=node)
+
+
+_STRING = "expected a non-empty string"
+_TARGET = 'target must look like "remote/expose#export", got '
+
+PINNED_ERRORS = [
+    ("document", "[]", "E-SYNTAX", "manifest must be a JSON object", ""),
+    ("module-entry", _doc(modules=[1]), "E-SYNTAX", "module entry must be an object", ".modules[0]"),
+    ("expose-entry", _doc(exposes=["x"]), "E-SYNTAX", "expose entry must be an object", ".exposes[0]"),
+    ("remote-entry", _doc(remotes=[None]), "E-SYNTAX", "remote entry must be an object", ".remotes[0]"),
+    ("shared-entry", _doc(shared=[[]]), "E-SYNTAX", "shared entry must be an object", ".shared[0]"),
+    ("expects-entry", _doc(expects=[True]), "E-SYNTAX", "expects entry must be an object", ".expects[0]"),
+    ("missing-version", '{"name": "r"}', "E-MISSING-FIELD", "required field missing", ".version"),
+    ("missing-module-id", _doc(modules=[{"sizeBytes": 1}]), "E-MISSING-FIELD", "required field missing",
+     ".modules[0].id"),
+    ("missing-expose-module", _doc(exposes=[{"id": "./A"}]), "E-MISSING-FIELD", "required field missing",
+     ".exposes[0].module"),
+    ("missing-remote-manifest", _doc(remotes=[{"name": "x"}]), "E-MISSING-FIELD", "required field missing",
+     ".remotes[0].manifest"),
+    ("missing-shared-range", _doc(shared=[{"package": "react"}]), "E-MISSING-FIELD", "required field missing",
+     ".shared[0].requiredRange"),
+    ("missing-expects-interface", _doc(expects=[{"target": "remote/./X#X"}]), "E-MISSING-FIELD",
+     "required field missing", ".expects[0].interface"),
+    ("string-number", '{"name": 5, "version": "1.0.0"}', "E-SYNTAX", _STRING, ".name"),
+    ("string-null", '{"name": null, "version": "1.0.0"}', "E-SYNTAX", _STRING, ".name"),
+    ("string-empty", _module(id=""), "E-SYNTAX", _STRING, ".modules[0].id"),
+    ("integer-string", _module(sizeBytes="1"), "E-SYNTAX", "expected an integer", ".modules[0].sizeBytes"),
+    ("integer-float", _module(sizeBytes=1.0), "E-SYNTAX", "expected an integer", ".modules[0].sizeBytes"),
+    ("integer-null", _module(sizeBytes=None), "E-SYNTAX", "expected an integer", ".modules[0].sizeBytes"),
+    ("integer-boolean", _shared(sizeBytes=True), "E-SYNTAX", "expected an integer", ".shared[0].sizeBytes"),
+    ("boolean", _shared(singleton=1), "E-SYNTAX", "expected a boolean", ".shared[0].singleton"),
+    ("boolean-null", _shared(strictVersion=None), "E-SYNTAX", "expected a boolean", ".shared[0].strictVersion"),
+    ("array", _doc(modules={}), "E-SYNTAX", "expected an array", ".modules"),
+    ("array-null", _doc(exposes=None), "E-SYNTAX", "expected an array", ".exposes"),
+    ("array-imports", _module(dynamicImports="./B"), "E-SYNTAX", "expected an array",
+     ".modules[0].dynamicImports"),
+    ("ref-element", _module(staticImports=["./B", 3]), "E-SYNTAX", _STRING, ".modules[0].staticImports[1]"),
+    ("ref-empty", _module(dynamicImports=[""]), "E-SYNTAX", _STRING, ".modules[0].dynamicImports[0]"),
+    ("nul-remote-manifest", _doc(remotes=[{"name": "x", "manifest": "a\0b"}]), "E-SYNTAX",
+     "a path must not contain a NUL character", ".remotes[0].manifest"),
+    ("nul-interface", _module(interface="a\0b"), "E-SYNTAX", "a path must not contain a NUL character",
+     ".modules[0].interface"),
+    ("interface-number", _module(interface=7), "E-SYNTAX", _STRING, ".modules[0].interface"),
+    ("size-above-2**53", _module(sizeBytes=2**53 + 1), "E-SYNTAX", "sizeBytes must be at most 2**53",
+     ".modules[0].sizeBytes"),
+    ("shared-size-above-2**53", _shared(sizeBytes=2**64), "E-SYNTAX", "sizeBytes must be at most 2**53",
+     ".shared[0].sizeBytes"),
+    ("version", '{"name": "r", "version": "1.0"}', "E-BAD-VERSION",
+     "expected MAJOR.MINOR.PATCH with decimal components, got '1.0'", ".version"),
+    ("version-number", '{"name": "r", "version": 1}', "E-SYNTAX", _STRING, ".version"),
+    ("provided-version", _shared(providedVersion="x"), "E-BAD-VERSION",
+     "expected MAJOR.MINOR.PATCH with decimal components, got 'x'", ".shared[0].providedVersion"),
+    ("provided-version-number", _shared(providedVersion=18), "E-SYNTAX", _STRING, ".shared[0].providedVersion"),
+    ("range", _shared(requiredRange="^1"), "E-BAD-RANGE", "unsupported range token '^1'",
+     ".shared[0].requiredRange"),
+    ("range-empty-disjunct", _shared(requiredRange="1.0.0 ||"), "E-BAD-RANGE",
+     "empty disjunct in range '1.0.0 ||'", ".shared[0].requiredRange"),
+    ("target-no-hash", _expect(target="remote/./X"), "E-SYNTAX", _TARGET + "'remote/./X'", ".expects[0].target"),
+    ("target-no-slash", _expect(target="remote#X"), "E-SYNTAX", _TARGET + "'remote#X'", ".expects[0].target"),
+    ("target-no-export", _expect(target="remote/./X#"), "E-SYNTAX", _TARGET + "'remote/./X#'",
+     ".expects[0].target"),
+    ("target-number", _expect(target=1), "E-SYNTAX", _STRING, ".expects[0].target"),
+    ("type-not-object", _type(1), "E-SYNTAX", "type node must be an object", ".expects[0].interface"),
+    ("type-unknown-kind", _type({"kind": "tuple"}), "E-SYNTAX", "unknown type kind 'tuple'",
+     ".expects[0].interface"),
+    ("type-no-kind", _type({}), "E-SYNTAX", "unknown type kind None", ".expects[0].interface"),
+    ("type-fields", _type({"kind": "record", "fields": []}), "E-SYNTAX", '"fields" must be an object',
+     ".expects[0].interface"),
+    ("type-field-spec", _type({"kind": "record", "fields": {"f": {"optional": True}}}), "E-SYNTAX",
+     'record field needs a "type" node', ".expects[0].interface.f"),
+    ("type-field-optional", _type({"kind": "record", "fields": {"f": {"type": {"kind": "string"}, "optional": 1}}}),
+     "E-SYNTAX", '"optional" must be a boolean', ".expects[0].interface.f"),
+    ("type-params", _type({"kind": "function", "params": {}, "returns": {"kind": "string"}}), "E-SYNTAX",
+     '"params" must be an array', ".expects[0].interface"),
+    ("type-returns", _type({"kind": "function", "params": []}), "E-SYNTAX", 'function type needs "returns"',
+     ".expects[0].interface"),
+    ("type-element", _type({"kind": "array", "element": {"kind": "array"}}), "E-SYNTAX",
+     "type node must be an object", ".expects[0].interface.element.element"),
+    ("type-param", _type({"kind": "function", "params": [{"kind": "string"}, 2], "returns": {"kind": "string"}}),
+     "E-SYNTAX", "type node must be an object", ".expects[0].interface.params[1]"),
+    ("type-returns-field", _type({"kind": "function", "returns": {"kind": "record", "fields": {"g": {"type": {}}}}}),
+     "E-SYNTAX", "unknown type kind None", ".expects[0].interface.returns.g"),
+    ("type-ref", _type({"kind": "array", "element": {"kind": "ref"}}), "E-RECURSIVE-TYPE",
+     "named type references are not supported", ".expects[0].interface.element"),
+]
+
+
+@pytest.mark.parametrize("text,code,message,path", [row[1:] for row in PINNED_ERRORS],
+                         ids=[row[0] for row in PINNED_ERRORS])
+def test_pinned_decoder_errors(text, code, message, path):
+    with pytest.raises(ToolError) as err:
+        parse_manifest(text)
+    assert (err.value.code, err.value.message, err.value.path) == (code, message, path)
+
+
+def test_unknown_field_warning_paths_in_document_order():
+    text = json.dumps(
+        {
+            "name": "r",
+            "zz": 0,
+            "version": "1.0.0",
+            "modules": [_MODULE, {**_MODULE, "id": "./B", "extra": 1}],
+            "exposes": [{"id": "./A", "module": "./A", "e": 1}],
+            "remotes": [{"name": "x", "manifest": "m.json", "r": 1}],
+            "shared": [{**_SHARED, "s": 1, "t": 2}],
+            "expects": [{**_EXPECT, "x": 1}],
+        }
+    )
+    _, warnings = parse_manifest(text)
+    assert [(w.code, w.severity, w.path, w.message) for w in warnings] == [
+        ("W-UNKNOWN-FIELD", "warning", ".zz", "unknown field 'zz' ignored"),
+        ("W-UNKNOWN-FIELD", "warning", ".modules[1].extra", "unknown field 'extra' ignored"),
+        ("W-UNKNOWN-FIELD", "warning", ".exposes[0].e", "unknown field 'e' ignored"),
+        ("W-UNKNOWN-FIELD", "warning", ".remotes[0].r", "unknown field 'r' ignored"),
+        ("W-UNKNOWN-FIELD", "warning", ".shared[0].s", "unknown field 's' ignored"),
+        ("W-UNKNOWN-FIELD", "warning", ".shared[0].t", "unknown field 't' ignored"),
+        ("W-UNKNOWN-FIELD", "warning", ".expects[0].x", "unknown field 'x' ignored"),
+    ]
+
+
+def test_explicit_null_is_absent_only_for_optional_fields():
+    m, warnings = parse_manifest(
+        _doc(entry=None, modules=[{**_MODULE, "interface": None}], shared=[{**_SHARED, "providedVersion": None}])
+    )
+    assert (m.entry, m.modules[0].interface, m.shared[0].provided_version) == (None, None, None)
+    assert warnings == []
+
+
+def test_pinned_validate_diagnostics():
+    m, _ = parse_manifest(
+        _doc(
+            entry="./Ghost",
+            modules=[_MODULE],
+            exposes=[{"id": "./A", "module": "./A"}, {"id": "./A", "module": "./A"}],
+            remotes=[{"name": "x", "manifest": "a.json"}, {"name": "x", "manifest": "b.json"}],
+            shared=[{**_SHARED, "sizeBytes": -1}],
+        )
+    )
+    assert [(d.code, d.severity, d.path, d.message) for d in validate_manifest(m)] == [
+        ("E-DUP-EXPOSE", "error", ".exposes[1].id", "expose './A' declared twice"),
+        ("E-DANGLING-ENTRY", "error", ".entry", "entry './Ghost' is not a declared module"),
+        ("E-DUP-REMOTE", "error", ".remotes[1].name", "remote 'x' declared twice"),
+        ("E-NEGATIVE-SIZE", "error", ".shared[0].sizeBytes", "sizeBytes must be >= 0"),
+    ]
+
+
+def test_host_without_entry_is_missing_field(tmp_path: Path):
+    host = tmp_path / "federation.json"
+    host.write_text(_doc(modules=[_MODULE]))
+    with pytest.raises(ToolError) as err:
+        load_workspace(str(host))
+    assert (err.value.code, err.value.message, err.value.path) == (
+        "E-MISSING-FIELD",
+        "host manifest must declare an entry module",
+        ".entry",
+    )

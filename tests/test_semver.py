@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fedplan.diagnostics import ToolError
 from fedplan.semver import (
+    MAX_COMPONENT,
     Version,
     highest_satisfying,
     intersect,
@@ -32,6 +33,33 @@ def test_parse_version_rejects(bad):
     with pytest.raises(ToolError) as err:
         parse_version(bad)
     assert err.value.code == "E-BAD-VERSION"
+
+
+def test_component_bound_is_two_pow_53_minus_one():
+    assert MAX_COMPONENT == 9007199254740991
+    assert parse_version("9007199254740991.0.9007199254740991") == Version(MAX_COMPONENT, 0, MAX_COMPONENT)
+    assert parse_version("0009007199254740991.0.0") == Version(MAX_COMPONENT, 0, 0)
+    assert render_range(parse_range("^0.0.9007199254740991")) == ">=0.0.9007199254740991 <0.0.9007199254740992"
+    with pytest.raises(ToolError) as err:
+        parse_version("1.9007199254740992.0")
+    assert (err.value.code, err.value.message) == (
+        "E-BAD-VERSION", "version components must be at most 9007199254740991, got '1.9007199254740992.0'"
+    )
+    with pytest.raises(ToolError) as err:
+        parse_range(">=1.0.0 <9007199254740992.0.0")
+    assert (err.value.code, err.value.message) == (
+        "E-BAD-RANGE", "version components must be at most 9007199254740991, got '<9007199254740992.0.0'"
+    )
+
+
+@pytest.mark.parametrize("text", ["9" * 5000 + ".0.0", "0.0." + "1" * 5000], ids=["major", "patch"])
+def test_version_with_5000_digit_component_is_bad_version(text):
+    with pytest.raises(ToolError) as err:
+        parse_version(text)
+    assert err.value.code == "E-BAD-VERSION"
+    with pytest.raises(ToolError) as err:
+        parse_range("^" + text)
+    assert err.value.code == "E-BAD-RANGE"
 
 
 def test_version_total_order():

@@ -12,7 +12,6 @@ def test_build_share_scope_collects_by_application():
     host = app("host", entry="entry", shared=(shared_spec("react", "^18.0.0", "18.2.0"),))
     remote = app("remote", shared=(shared_spec("react", "^18.1.0", "18.1.0"),))
     scope = build_share_scope(workspace(host, remote))
-    assert scope.scope_name == "default"
     assert scope.host_name == "host"
     assert [(a, s.package) for a, s in scope.entries] == [("host", "react"), ("remote", "react")]
     # Direct collection oracle: every declared spec appears exactly once.
@@ -36,7 +35,7 @@ def test_build_share_scope_disjoint_packages():
 
 
 def _scope(entries) -> ShareScope:
-    return ShareScope("default", "host", tuple(entries))
+    return ShareScope("host", tuple(entries))
 
 
 def test_resolve_highest_provided_wins():
@@ -167,7 +166,7 @@ def _random_scope(rng: random.Random) -> ShareScope:
                     ),
                 )
             )
-    return ShareScope("default", "host", tuple(entries))
+    return ShareScope("host", tuple(entries))
 
 
 def test_randomized_scopes_singleton_and_accounting_laws():
@@ -212,7 +211,6 @@ def test_adding_better_provider_never_adds_conflicts():
             if not all(satisfies(s.required_range, improved) for _, s in entries):
                 continue
             extended = ShareScope(
-                "default",
                 "host",
                 scope.entries + (("zzz-new", shared_spec(package, "*", "9.0.0")),),
             )
