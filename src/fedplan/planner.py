@@ -25,7 +25,7 @@ class LoadStrategy(enum.Enum):
     SSR = "ssr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trigger:
     kind: str  # root | parse | manifest
     node: tuple[str, str] | None = None
@@ -41,7 +41,11 @@ _ROOT_TRIGGER = Trigger("root")
 _MANIFEST_TRIGGER = Trigger("manifest")
 
 
-@dataclass(frozen=True)
+# Slotted, not frozen: a plan builds one request per fetch unit, and a frozen
+# dataclass sets each field through object.__setattr__, which made building
+# the requests a large share of plan() on wide plans. Nothing hashes a
+# request; LoadPlan keeps them in a tuple, and equality is unchanged.
+@dataclass(slots=True)
 class FetchRequest:
     id: int
     payload: frozenset

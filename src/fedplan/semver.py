@@ -15,12 +15,24 @@ from dataclasses import dataclass
 
 from .diagnostics import ToolError
 
-_VERSION_RE = re.compile(r"^(\d+)\.(\d+)\.(\d+)$")
-_ATOM_RE = re.compile(r"^(>=|<=|>|<|=|\^|~)?(\d+)\.(\d+)\.(\d+)$")
+# [0-9], not \d: \d also matches fullwidth, Arabic-Indic and other Unicode
+# decimal digits, which int() accepts but no version in a manifest means.
+_VERSION_RE = re.compile(r"^([0-9]+)\.([0-9]+)\.([0-9]+)$")
+_ATOM_RE = re.compile(r"^(>=|<=|>|<|=|\^|~)?([0-9]+)\.([0-9]+)\.([0-9]+)$")
 
 # Largest version component, as in node-semver (Number.MAX_SAFE_INTEGER).
 MAX_COMPONENT = 2**53 - 1
 _MAX_DIGITS = len(str(MAX_COMPONENT))
+
+# Longest text a diagnostic quotes in full.
+_QUOTE_LIMIT = 64
+
+
+def _quote(text: str) -> str:
+    """repr() of text, or of its first _QUOTE_LIMIT characters plus its length."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 @dataclass(frozen=True, order=True)
@@ -70,7 +82,7 @@ def _components(digits: tuple[str, str, str], code: str, text: str) -> Version:
         run = run.lstrip("0") or "0"
         value = int(run) if len(run) <= _MAX_DIGITS else MAX_COMPONENT + 1
         if value > MAX_COMPONENT:
-            raise ToolError(code, f"version components must be at most {MAX_COMPONENT}, got {text!r}")
+            raise ToolError(code, f"version components must be at most {MAX_COMPONENT}, got {_quote(text)}")
         parts.append(value)
     return Version(*parts)
 
@@ -80,7 +92,7 @@ def parse_version(text: str) -> Version:
     if not m:
         raise ToolError(
             "E-BAD-VERSION",
-            f"expected MAJOR.MINOR.PATCH with decimal components, got {text!r}",
+            f"expected MAJOR.MINOR.PATCH with decimal components, got {_quote(text)}",
         )
     return _components(m.groups(), "E-BAD-VERSION", text)
 
@@ -107,7 +119,7 @@ def _atom_interval(atom: str) -> tuple[Version, Version | None]:
         return (ZERO, None)
     m = _ATOM_RE.match(atom)
     if not m:
-        raise ToolError("E-BAD-RANGE", f"unsupported range token {atom!r}")
+        raise ToolError("E-BAD-RANGE", f"unsupported range token {_quote(atom)}")
     op = m.group(1) or "="
     v = _components(m.groups()[1:], "E-BAD-RANGE", atom)
     if op == "=":
@@ -157,7 +169,7 @@ def parse_range(text: str) -> VersionRange:
     for disjunct in text.split("||"):
         atoms = disjunct.split()
         if not atoms:
-            raise ToolError("E-BAD-RANGE", f"empty disjunct in range {text!r}")
+            raise ToolError("E-BAD-RANGE", f"empty disjunct in range {_quote(text)}")
         lo, hi = ZERO, None
         for atom in atoms:
             alo, ahi = _atom_interval(atom)

@@ -99,7 +99,10 @@ def network_from_json(obj: object) -> NetworkModel:
     return NetworkModel(**kwargs)
 
 
-@dataclass(frozen=True)
+# Slotted, not frozen, like planner.FetchRequest: simulate() builds one entry
+# per request, and a frozen dataclass costs several times as much to build.
+# Nothing hashes an entry; SimReport keeps them in a tuple.
+@dataclass(slots=True)
 class TimelineEntry:
     request_id: int
     start_ms: float

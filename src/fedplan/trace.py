@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .diagnostics import Diagnostic, DiagnosticBag, ToolError
 from .simulator import SimReport
@@ -44,6 +45,12 @@ class TraceLog:
     trace_id: str = "trace-1"
     spans: list[Span] = field(default_factory=list)
     _counter: int = 0
+    # Span id -> span, so that record() finds a parent in O(1) however deep
+    # the nesting. The first span wins on a duplicate id, as a scan would.
+    _by_id: dict[str, Span] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._by_id = {s.span_id: s for s in reversed(self.spans)}
 
     def record(
         self,
@@ -57,7 +64,7 @@ class TraceLog:
         if end_ms < start_ms:
             raise ToolError("E-BAD-INTERVAL", f"span {name!r} ends before it starts")
         if parent_span_id is not None:
-            parent = self.span(parent_span_id)
+            parent = self._by_id.get(parent_span_id)
             if parent is None:
                 raise ToolError("E-NO-PARENT", f"unknown parent span {parent_span_id!r}")
             if start_ms < parent.start_ms or end_ms > parent.end_ms:
@@ -68,48 +75,49 @@ class TraceLog:
                 )
         self._counter += 1
         span_id = f"s{self._counter}"
-        self.spans.append(
-            Span(self.trace_id, span_id, parent_span_id, name, start_ms, end_ms, attributes or {})
-        )
+        span = Span(self.trace_id, span_id, parent_span_id, name, start_ms, end_ms, attributes or {})
+        self.spans.append(span)
+        self._by_id.setdefault(span_id, span)
         return span_id
 
     def span(self, span_id: str) -> Span | None:
-        for s in self.spans:
-            if s.span_id == span_id:
-                return s
-        return None
+        return self._by_id.get(span_id)
 
 
 def from_sim(report: SimReport) -> TraceLog:
-    """Project a simulation timeline into spans: root, one fetch and one parse per request."""
-    log = TraceLog(trace_id=f"sim-{report.strategy.value}")
-    root = log.record(
-        "load",
-        None,
-        0.0,
-        report.time_to_interactive_ms,
-        {
-            "strategy": report.strategy.value,
-            "requests": report.request_count,
-            "totalBytes": report.total_bytes,
-        },
-    )
+    """Project a simulation timeline into spans: root, one fetch and one parse per request.
+
+    The root is s1, and the k-th timeline entry's fetch and parse spans are
+    s{2k} and s{2k+1}, the ids record() would give. They are built in one
+    loop rather than by 2n record() calls. One chain check per entry,
+    0 <= start <= done <= parse done <= TTI, stands for the containment
+    record() enforces on both spans; unlike record()'s, it also fails on NaN.
+    """
+    trace_id = f"sim-{report.strategy.value}"
+    tti = report.time_to_interactive_ms
+    if tti < 0.0:
+        raise ToolError("E-BAD-INTERVAL", "span 'load' ends before it starts")
+    attributes = {
+        "strategy": report.strategy.value,
+        "requests": report.request_count,
+        "totalBytes": report.total_bytes,
+    }
+    spans = [Span(trace_id, "s1", None, "load", 0.0, tti, attributes)]
+    n = 1
     for entry in report.timeline:
-        log.record(
-            "fetch.request",
-            root,
-            entry.start_ms,
-            entry.done_ms,
-            {"requestId": entry.request_id, "bytes": entry.size_bytes},
-        )
-        log.record(
-            "parse.module",
-            root,
-            entry.done_ms,
-            entry.parse_done_ms,
-            {"requestId": entry.request_id},
-        )
-    return log
+        start, done, parse_done = entry.start_ms, entry.done_ms, entry.parse_done_ms
+        if not 0.0 <= start <= done <= parse_done <= tti:
+            raise ToolError(
+                "E-BAD-INTERVAL",
+                f"request {entry.request_id} times [{start}, {done}, {parse_done}] are not "
+                f"ordered within the load [0.0, {tti}]",
+            )
+        rid = entry.request_id
+        fetch = {"requestId": rid, "bytes": entry.size_bytes}
+        spans.append(Span(trace_id, f"s{n + 1}", "s1", "fetch.request", start, done, fetch))
+        spans.append(Span(trace_id, f"s{n + 2}", "s1", "parse.module", done, parse_done, {"requestId": rid}))
+        n += 2
+    return TraceLog(trace_id, spans, n)
 
 
 def validate_trace(log: TraceLog) -> list[Diagnostic]:
@@ -140,6 +148,45 @@ def validate_trace(log: TraceLog) -> list[Diagnostic]:
     return bag.items
 
 
+# Strings, finite floats, ints and None are written as json.dumps writes
+# them; anything else (bool, NaN and infinities, subclasses, containers) goes
+# to json.dumps itself.
+def _value(v) -> str:
+    t = type(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is float:
+        if v - v == 0.0:  # finite
+            return float.__repr__(v)
+    elif t is int:
+        return int.__repr__(v)
+    elif v is None:
+        return "null"
+    return json.dumps(v)
+
+
+def _attributes(attributes) -> str:
+    if type(attributes) is dict and all(type(k) is str for k in attributes):
+        fields = [f"{encode_basestring_ascii(k)}: {_value(v)}" for k, v in attributes.items()]
+        return "{" + ", ".join(fields) + "}"
+    return json.dumps(attributes)
+
+
 def export_jsonl(log: TraceLog) -> str:
-    """One span per line, stable field order."""
-    return "".join(json.dumps(s.to_json()) + "\n" for s in log.spans)
+    """One span per line, stable field order.
+
+    Each line is byte-identical to `json.dumps(span.to_json())` for any span,
+    with json.dumps's defaults (ASCII escapes, ", " and ": " separators, NaN
+    and Infinity as bare words). Strings, finite floats, ints and None are
+    written directly, and an attributes dict with `str` keys field by field,
+    which saves a json.dumps call, and the encoder it builds, per span.
+    """
+    return "".join(
+        [
+            f'{{"traceId": {_value(s.trace_id)}, "spanId": {_value(s.span_id)}, '
+            f'"parentSpanId": {_value(s.parent_span_id)}, "name": {_value(s.name)}, '
+            f'"startMs": {_value(s.start_ms)}, "endMs": {_value(s.end_ms)}, '
+            f'"attributes": {_attributes(s.attributes)}}}\n'
+            for s in log.spans
+        ]
+    )

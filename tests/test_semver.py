@@ -191,3 +191,31 @@ _range_st = st.builds(
 @given(_range_st, _range_st, _version_st)
 def test_intersect_law(a, b, version):
     assert satisfies(intersect(a, b), version) == (satisfies(a, version) and satisfies(b, version))
+
+
+@pytest.mark.parametrize(
+    "digits", ["１.٣.0", "1.0.٣", "９９.0.0"], ids=["fullwidth-arabic", "arabic-indic", "fullwidth"]
+)
+def test_non_ascii_digits_are_not_version_components(digits):
+    # int() reads these as 1, 3 and 99; a manifest version must not.
+    with pytest.raises(ToolError) as err:
+        parse_version(digits)
+    assert err.value.code == "E-BAD-VERSION"
+    with pytest.raises(ToolError) as err:
+        parse_range("^" + digits)
+    assert err.value.code == "E-BAD-RANGE"
+
+
+def test_long_offending_text_is_quoted_by_a_bounded_prefix():
+    text = "9" * 5000 + ".0.0"
+    with pytest.raises(ToolError) as err:
+        parse_version(text)
+    assert err.value.message == (
+        f"version components must be at most 9007199254740991, got {'9' * 64!r}... (5004 characters)"
+    )
+    with pytest.raises(ToolError) as err:
+        parse_range(">=1.0.0 <" + "x" * 100)
+    assert err.value.message == f"unsupported range token {'<' + 'x' * 63!r}... (101 characters)"
+    with pytest.raises(ToolError) as err:
+        parse_version("v" * 64)
+    assert err.value.message == f"expected MAJOR.MINOR.PATCH with decimal components, got {'v' * 64!r}"

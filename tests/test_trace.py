@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import enum
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedplan.diagnostics import ToolError
 from fedplan.graph import build_graph
 from fedplan.manifest import load_workspace
 from fedplan.planner import LoadStrategy, plan
 from fedplan.shares import build_share_scope, resolve_shares
-from fedplan.simulator import NetworkModel, simulate
+from fedplan.simulator import NetworkModel, SimReport, TimelineEntry, simulate
 from fedplan.trace import Span, TraceLog, export_jsonl, from_sim, validate_trace
 
-from conftest import FIXTURES
+from conftest import FIXTURES, deadline
 
 NET = NetworkModel(rtt_ms=100, bandwidth_bytes_per_ms=100, parse_ms_per_kb=0)
 
@@ -107,8 +110,6 @@ def test_from_sim_bytes_sum_matches_total():
 
 
 def test_from_sim_empty_report():
-    from fedplan.simulator import SimReport
-
     empty = SimReport(LoadStrategy.LAZY, 0.0, 0.0, 0, 0, 0, 0, ())
     log = from_sim(empty)
     assert len(log.spans) == 1
@@ -168,3 +169,91 @@ def test_export_jsonl_round_trips():
     ]
     assert first["parentSpanId"] is None
     assert first["traceId"] == "sim-lazy"
+
+
+def test_record_nests_a_long_chain_in_linear_time():
+    log = TraceLog()
+    parent = log.record("root", None, 0, 20_000)
+    with deadline(5):
+        for i in range(1, 20_000):
+            parent = log.record("step", parent, i, 20_000)
+    assert parent == "s20000"
+    assert log.span("s20000").parent_span_id == "s19999"
+
+
+def test_span_lookup_keeps_the_first_of_duplicate_ids():
+    first = Span("t", "s1", None, "root", 0, 10, {})
+    log = TraceLog(spans=[first, Span("t", "s1", None, "dup", 0, 1, {})], _counter=1)
+    assert log.span("s1") is first
+    log.record("child", "s1", 2, 9)
+    assert log.span("s2").parent_span_id == "s1"
+
+
+def _single_request_report(start, done, parse_done, tti):
+    entry = TimelineEntry(0, start, start, done, parse_done, 100)
+    return SimReport(LoadStrategy.SSR, tti, tti, 100, 1, 1, 1, (entry,))
+
+
+@pytest.mark.parametrize(
+    "times",
+    [(0.0, 5.0, 12.0, 10.0), (-1.0, 5.0, 8.0, 10.0), (6.0, 5.0, 8.0, 10.0), (0.0, 5.0, 4.0, 10.0)],
+    ids=["parse-past-tti", "starts-before-load", "fetch-reversed", "parse-reversed"],
+)
+def test_from_sim_rejects_entry_outside_the_load(times):
+    with pytest.raises(ToolError) as err:
+        from_sim(_single_request_report(*times))
+    assert err.value.code == "E-BAD-INTERVAL"
+
+
+def test_record_after_from_sim_continues_the_counter():
+    report = _report(LoadStrategy.LAZY)
+    log = from_sim(report)
+    n = report.request_count
+    assert [s.span_id for s in log.spans] == [f"s{i}" for i in range(1, 2 * n + 2)]
+    last_parse = log.spans[-1]
+    child = log.record("after", last_parse.span_id, last_parse.start_ms, last_parse.end_ms)
+    assert child == f"s{2 * n + 2}"
+    assert validate_trace(log) == []
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+_text = st.text(max_size=8)
+_scalar = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()  # NaN and infinities included
+    | _text
+    | st.sampled_from(list(_Level))
+)
+_key = _text | st.integers() | st.floats() | st.booleans() | st.none()
+_json_value = st.recursive(
+    _scalar,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_key, inner, max_size=3),
+    max_leaves=8,
+)
+_time = st.integers() | st.floats()
+_span = st.builds(
+    Span,
+    _text,
+    _text,
+    st.none() | _text,
+    _text,
+    _time,
+    _time,
+    st.dictionaries(_text, _json_value, max_size=4) | st.dictionaries(_key, _json_value, max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_span, max_size=4))
+@example([Span("t\u00e9\x00\n\u2028", "s1", None, "\ud83d\ude00", 0, 1.5, {})])
+@example([Span("t", "s1", "s0", "n", float("nan"), float("inf"), {"a": -float("inf"), "b": True})])
+@example([Span("t", "s1", None, "n", 1, 2, {"level": _Level.HIGH, 3: "x", "nested": {"k": [1.0, None]}})])
+def test_export_jsonl_equals_json_dumps_per_span(spans):
+    log = TraceLog(spans=spans)
+    assert export_jsonl(log) == "".join(json.dumps(s.to_json()) + "\n" for s in log.spans)
