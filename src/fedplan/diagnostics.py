@@ -70,12 +70,14 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise ValueError(f"duplicate key {key!r} in object")
-        seen.add(key)
-    return dict(pairs)
+    obj = dict(pairs)
+    if len(obj) != len(pairs):  # some key repeats: name the first that does
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r} in object")
+            seen.add(key)
+    return obj
 
 
 def parse_json(text: str, code: str, path: str = "") -> object:

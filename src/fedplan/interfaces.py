@@ -23,6 +23,9 @@ if TYPE_CHECKING:
 
 PRIMITIVES = ("string", "number", "boolean")
 MAX_TYPE_DEPTH = 256
+# A too-deep node's path has a segment per level: its location keeps this
+# many characters of it, so the diagnostic stays short.
+MAX_DEEP_PATH = 200
 
 
 @dataclass(frozen=True)
@@ -94,52 +97,69 @@ class Expectation:
         return f"{self.remote}/{self.expose}#{self.export}"
 
 
-def parse_type_node(node: object, path: str = "", depth: int = 1) -> TypeExpr:
+def parse_type_node(node: object, path: str = "") -> TypeExpr:
     """Convert one JSON type node into a TypeExpr, validating structure.
 
-    `depth` is the node's nesting level; a node deeper than MAX_TYPE_DEPTH is
-    E-TYPE-TOO-DEEP.
+    An error's location is `path` followed by the failing node's own path
+    below this one (".element", ".{field}", ".params[i]", ".returns", ...),
+    formatted only on failure. A node nested deeper than MAX_TYPE_DEPTH is
+    E-TYPE-TOO-DEEP; its path below `path` keeps its first MAX_DEEP_PATH
+    characters, the outermost levels, followed by "...".
     """
+    try:
+        return _type_node(node, 1)
+    except ToolError as exc:
+        where = exc.path
+        if exc.code == "E-TYPE-TOO-DEEP" and len(where) > MAX_DEEP_PATH:
+            where = where[:MAX_DEEP_PATH] + "..."
+        raise ToolError(exc.code, exc.message, path + where) from exc
+
+
+def _child(node: object, depth: int, segment: str, *key) -> TypeExpr:
+    """Parse a node one level below `depth`; a failure's path gains `segment.format(*key)`."""
+    try:
+        return _type_node(node, depth + 1)
+    except ToolError as exc:
+        raise ToolError(exc.code, exc.message, segment.format(*key) + exc.path) from exc
+
+
+def _type_node(node: object, depth: int) -> TypeExpr:
+    """parse_type_node for a node at nesting level `depth`; errors carry paths relative to it."""
     if depth > MAX_TYPE_DEPTH:
-        raise ToolError("E-TYPE-TOO-DEEP", f"type nested deeper than {MAX_TYPE_DEPTH} levels", path)
+        raise ToolError("E-TYPE-TOO-DEEP", f"type nested deeper than {MAX_TYPE_DEPTH} levels")
     if not isinstance(node, dict):
-        raise ToolError("E-SYNTAX", "type node must be an object", path)
+        raise ToolError("E-SYNTAX", "type node must be an object")
     kind = node.get("kind")
     if kind in PRIMITIVES:
         return PrimitiveType(kind)
     if kind == "unknown":
         return UnknownType()
     if kind == "array":
-        return ArrayType(parse_type_node(node.get("element"), path + ".element", depth + 1))
+        return ArrayType(_child(node.get("element"), depth, ".element"))
     if kind == "record":
         fields = node.get("fields")
         if not isinstance(fields, dict):
-            raise ToolError("E-SYNTAX", '"fields" must be an object', path)
+            raise ToolError("E-SYNTAX", '"fields" must be an object')
         parsed = []
         for name, spec in fields.items():
-            fpath = f"{path}.{name}"
             if not isinstance(spec, dict) or "type" not in spec:
-                raise ToolError("E-SYNTAX", 'record field needs a "type" node', fpath)
+                raise ToolError("E-SYNTAX", 'record field needs a "type" node', f".{name}")
             optional = spec.get("optional", False)
             if not isinstance(optional, bool):
-                raise ToolError("E-SYNTAX", '"optional" must be a boolean', fpath)
-            parsed.append(RecordField(name, parse_type_node(spec["type"], fpath, depth + 1), optional))
+                raise ToolError("E-SYNTAX", '"optional" must be a boolean', f".{name}")
+            parsed.append(RecordField(name, _child(spec["type"], depth, ".{}", name), optional))
         return RecordType(tuple(parsed))
     if kind == "function":
         params = node.get("params", [])
         if not isinstance(params, list):
-            raise ToolError("E-SYNTAX", '"params" must be an array', path)
-        parsed_params = tuple(
-            parse_type_node(p, f"{path}.params[{i}]", depth + 1) for i, p in enumerate(params)
-        )
+            raise ToolError("E-SYNTAX", '"params" must be an array')
+        parsed_params = tuple(_child(p, depth, ".params[{}]", i) for i, p in enumerate(params))
         if "returns" not in node:
-            raise ToolError("E-SYNTAX", 'function type needs "returns"', path)
-        return FunctionType(parsed_params, parse_type_node(node["returns"], path + ".returns", depth + 1))
+            raise ToolError("E-SYNTAX", 'function type needs "returns"')
+        return FunctionType(parsed_params, _child(node["returns"], depth, ".returns"))
     if kind == "ref":
-        raise ToolError(
-            "E-RECURSIVE-TYPE", "named type references are not supported", path
-        )
-    raise ToolError("E-SYNTAX", f"unknown type kind {kind!r}", path)
+        raise ToolError("E-RECURSIVE-TYPE", "named type references are not supported")
+    raise ToolError("E-SYNTAX", f"unknown type kind {kind!r}")
 
 
 def serialize_type_node(t: TypeExpr) -> dict:

@@ -202,14 +202,29 @@ def _array(value) -> list:
     return value
 
 
-def _refs(value) -> tuple:
-    refs = []
-    for j, text in enumerate(_array(value)):
-        try:
-            refs.append(parse_import_ref(_string(text)))
-        except ToolError as exc:
-            raise ToolError(exc.code, exc.message, f"[{j}]") from exc
-    return tuple(refs)
+def ref_decoder():
+    """A check that decodes an array of import refs, each distinct string once.
+
+    Refs repeat heavily across modules and across the manifests of one
+    workspace (package and remote refs, and local refs to modules of the
+    same name), so load_workspace makes one decoder per workspace and its
+    modules share the (frozen) ref objects.
+    """
+    parsed: dict[str, object] = {}
+
+    def refs(value) -> tuple:
+        out = []
+        for j, text in enumerate(_array(value)):
+            ref = parsed.get(text) if type(text) is str else None
+            if ref is None:
+                try:
+                    ref = parsed[text] = parse_import_ref(_string(text))
+                except ToolError as exc:
+                    raise ToolError(exc.code, exc.message, f"[{j}]") from exc
+            out.append(ref)
+        return tuple(out)
+
+    return refs
 
 
 def _target(text: str) -> tuple[str, str, str]:
@@ -230,13 +245,13 @@ def _record(obj, path: str, known: set, bag: DiagnosticBag, error: str) -> None:
             bag.warning("W-UNKNOWN-FIELD", f"{path}.{key}", f"unknown field {key!r} ignored")
 
 
-def _parse_module(obj, path: str, bag: DiagnosticBag) -> ModuleDecl:
+def _parse_module(obj, path: str, bag: DiagnosticBag, refs) -> ModuleDecl:
     _record(obj, path, _MODULE_KEYS, bag, "module entry must be an object")
     return ModuleDecl(
         id=_field(obj, "id", path, _string),
         size_bytes=_field(obj, "sizeBytes", path, _size, default=0),
-        static_imports=_field(obj, "staticImports", path, _refs, default=()),
-        dynamic_imports=_field(obj, "dynamicImports", path, _refs, default=()),
+        static_imports=_field(obj, "staticImports", path, refs, default=()),
+        dynamic_imports=_field(obj, "dynamicImports", path, refs, default=()),
         interface=_field(obj, "interface", path, _path, default=None),
     )
 
@@ -278,8 +293,12 @@ def _entries(doc: dict, key: str, parse, bag: DiagnosticBag, *args) -> tuple:
     )
 
 
-def parse_manifest(text: str) -> tuple[FederationManifest, list[Diagnostic]]:
-    """Parse one manifest document; returns the manifest plus forward-compat warnings."""
+def parse_manifest(text: str, refs=None) -> tuple[FederationManifest, list[Diagnostic]]:
+    """Parse one manifest document; returns the manifest plus forward-compat warnings.
+
+    `refs` decodes import-ref arrays: a `ref_decoder()` shared by the
+    manifests of one workspace, or by default a new one for this call.
+    """
     doc = parse_json(text, "E-SYNTAX")
     bag = DiagnosticBag()
     _record(doc, "", _TOP_KEYS, bag, "manifest must be a JSON object")
@@ -288,7 +307,7 @@ def parse_manifest(text: str) -> tuple[FederationManifest, list[Diagnostic]]:
         name=name,
         version=_field(doc, "version", "", _string, parse_version),
         entry=_field(doc, "entry", "", _string, default=None),
-        modules=_entries(doc, "modules", _parse_module, bag),
+        modules=_entries(doc, "modules", _parse_module, bag, refs or ref_decoder()),
         exposes=_entries(doc, "exposes", _parse_expose, bag),
         remotes=_entries(doc, "remotes", _parse_remote, bag),
         shared=_entries(doc, "shared", _parse_shared, bag),
@@ -356,9 +375,10 @@ def validate_manifest(m: FederationManifest) -> list[Diagnostic]:
         module_ids.add(mod.id)
         if mod.size_bytes < 0:
             bag.error("E-NEGATIVE-SIZE", f".modules[{i}].sizeBytes", "sizeBytes must be >= 0")
-        dup = set(mod.static_imports) & set(mod.dynamic_imports)
-        for ref in sorted(render_import_ref(r) for r in dup):
-            bag.error("E-DUP-IMPORT", f".modules[{i}]", f"import {ref!r} is both static and dynamic")
+        dup = set(mod.static_imports).intersection(mod.dynamic_imports)
+        if dup:
+            for ref in sorted(render_import_ref(r) for r in dup):
+                bag.error("E-DUP-IMPORT", f".modules[{i}]", f"import {ref!r} is both static and dynamic")
 
     expose_ids = set()
     for i, exp in enumerate(m.exposes):
@@ -461,6 +481,7 @@ def load_workspace(host_path: str) -> tuple[Workspace, list[Diagnostic]]:
     # (real path, path as given, manifest, its remotes not yet followed).
     frames: list[tuple] = []
     on_stack: set[str] = set()
+    refs = ref_decoder()
 
     def enter(path_given: str, real: str) -> FederationManifest:
         try:
@@ -471,7 +492,7 @@ def load_workspace(host_path: str) -> tuple[Workspace, list[Diagnostic]]:
         except UnicodeDecodeError as exc:
             raise ToolError("E-SYNTAX", f"{path_given}: not valid UTF-8: {exc}")
         try:
-            manifest, warns = parse_manifest(text)
+            manifest, warns = parse_manifest(text, refs)
         except ToolError as exc:
             raise ToolError(exc.code, f"{path_given}: {exc.message}", exc.path) from exc
         bag.extend([replace(w, path=f"{path_given}:{w.path}") for w in warns])

@@ -157,9 +157,16 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
     parsing (plus the interaction delay for dynamically triggered requests),
     waits FIFO for a concurrency slot, pays one round trip, transfers under
     fair-share bandwidth, then parses. SSR pays server composition before its
-    transfer and hydration-weighted parsing after it.
+    transfer and hydration-weighted parsing after it. Two requests with one
+    id are E-DUP-REQUEST.
     """
     size = {r.id: r.size_bytes for r in p.requests}  # also the index of request ids
+    if len(size) != len(p.requests):
+        seen: set[int] = set()
+        for r in p.requests:
+            if r.id in seen:
+                raise ToolError("E-DUP-REQUEST", f"request id {r.id} appears more than once in the plan")
+            seen.add(r.id)
     if not size:
         return SimReport(p.strategy, 0.0, 0.0, 0, 0, 0, 0, ())
     root_request = next((r.id for r in p.requests if p.root_key in r.payload), None)

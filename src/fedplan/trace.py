@@ -148,30 +148,6 @@ def validate_trace(log: TraceLog) -> list[Diagnostic]:
     return bag.items
 
 
-# Strings, finite floats, ints and None are written as json.dumps writes
-# them; anything else (bool, NaN and infinities, subclasses, containers) goes
-# to json.dumps itself.
-def _value(v) -> str:
-    t = type(v)
-    if t is str:
-        return encode_basestring_ascii(v)
-    if t is float:
-        if v - v == 0.0:  # finite
-            return float.__repr__(v)
-    elif t is int:
-        return int.__repr__(v)
-    elif v is None:
-        return "null"
-    return json.dumps(v)
-
-
-def _attributes(attributes) -> str:
-    if type(attributes) is dict and all(type(k) is str for k in attributes):
-        fields = [f"{encode_basestring_ascii(k)}: {_value(v)}" for k, v in attributes.items()]
-        return "{" + ", ".join(fields) + "}"
-    return json.dumps(attributes)
-
-
 def export_jsonl(log: TraceLog) -> str:
     """One span per line, stable field order.
 
@@ -180,13 +156,74 @@ def export_jsonl(log: TraceLog) -> str:
     and Infinity as bare words). Strings, finite floats, ints and None are
     written directly, and an attributes dict with `str` keys field by field,
     which saves a json.dumps call, and the encoder it builds, per span.
+
+    Each distinct value is encoded once per call. Two memos, local to the
+    call and dropped when it returns, hold the text of every `str` and of
+    every finite non-zero `float` seen so far. Each is consulted only for
+    values of exactly its type, so 1, 1.0, True and an IntEnum 1 never share
+    text. 0.0 and -0.0 compare equal, so zeros stay out of the float memo.
+    NaN and the infinities, subclasses, containers and attributes dicts with
+    a non-`str` key go to json.dumps, unmemoised. Span ids bypass the memo:
+    each is unique in a well-formed trace, so a lookup would only miss.
     """
-    return "".join(
-        [
-            f'{{"traceId": {_value(s.trace_id)}, "spanId": {_value(s.span_id)}, '
-            f'"parentSpanId": {_value(s.parent_span_id)}, "name": {_value(s.name)}, '
-            f'"startMs": {_value(s.start_ms)}, "endMs": {_value(s.end_ms)}, '
-            f'"attributes": {_attributes(s.attributes)}}}\n'
-            for s in log.spans
-        ]
-    )
+    strings: dict[str, str] = {}
+    floats: dict[float, str] = {}
+
+    # The slow path: a value not in a memo. Memo texts are never empty, so
+    # `memo.get(v) or encode(v)` takes it only on a miss.
+    def encode(v) -> str:
+        t = type(v)
+        if t is str:
+            text = strings[v] = encode_basestring_ascii(v)
+            return text
+        if t is float and v - v == 0.0:  # finite
+            text = float.__repr__(v)
+            if v:
+                floats[v] = text
+            return text
+        if t is int:
+            return int.__repr__(v)
+        if v is None:
+            return "null"
+        return json.dumps(v)
+
+    lines = []
+    for s in log.spans:
+        trace_id = s.trace_id
+        trace_id = (type(trace_id) is str and strings.get(trace_id)) or encode(trace_id)
+        span_id = s.span_id
+        span_id = encode_basestring_ascii(span_id) if type(span_id) is str else encode(span_id)
+        parent = s.parent_span_id
+        parent = (type(parent) is str and strings.get(parent)) or encode(parent)
+        name = s.name
+        name = (type(name) is str and strings.get(name)) or encode(name)
+        start = s.start_ms
+        start = (type(start) is float and floats.get(start)) or encode(start)
+        end = s.end_ms
+        end = (type(end) is float and floats.get(end)) or encode(end)
+        attributes = s.attributes
+        if type(attributes) is dict:
+            fields = []
+            for k, v in attributes.items():
+                if type(k) is not str:
+                    attributes = json.dumps(attributes)
+                    break
+                t = type(v)
+                if t is str:
+                    v = strings.get(v) or encode(v)
+                elif t is float:
+                    v = floats.get(v) or encode(v)
+                elif t is int:
+                    v = int.__repr__(v)
+                else:
+                    v = encode(v)
+                fields.append(f"{strings.get(k) or encode(k)}: {v}")
+            else:
+                attributes = "{" + ", ".join(fields) + "}"
+        else:
+            attributes = json.dumps(attributes)
+        lines.append(
+            f'{{"traceId": {trace_id}, "spanId": {span_id}, "parentSpanId": {parent}, '
+            f'"name": {name}, "startMs": {start}, "endMs": {end}, "attributes": {attributes}}}\n'
+        )
+    return "".join(lines)

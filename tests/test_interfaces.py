@@ -112,6 +112,17 @@ def test_type_nesting_is_bounded():
             parse_type_node(_type_chain(levels), ".x")
         assert err.value.code == "E-TYPE-TOO-DEEP"
         assert err.value.path.startswith(".x.")
+    # The location keeps the outermost 200 characters of a too-deep node's
+    # path; a failure at the deepest accepted level keeps its whole path.
+    node = {"kind": "tuple"}
+    for _ in range(MAX_TYPE_DEPTH - 1):
+        node = {"kind": "array", "element": node}
+    with pytest.raises(ToolError) as err:
+        parse_type_node(node, ".x")
+    assert (err.value.code, err.value.path) == ("E-SYNTAX", ".x" + ".element" * (MAX_TYPE_DEPTH - 1))
+    with pytest.raises(ToolError) as err:
+        parse_type_node({"kind": "array", "element": node}, ".x")
+    assert (err.value.code, err.value.path) == ("E-TYPE-TOO-DEEP", ".x" + (".element" * 26)[:200] + "...")
 
 
 def test_parse_rejects_unknown_kind():

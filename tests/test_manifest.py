@@ -78,6 +78,8 @@ def test_expected_type_nested_300_levels_is_too_deep():
         parse_manifest(text)
     assert err.value.code == "E-TYPE-TOO-DEEP"
     assert err.value.path.startswith(".expects[0].interface.element")
+    # The path has one ".element" per level; the location stays short.
+    assert len(err.value.path) <= 256
 
 
 def test_import_ref_encoding():

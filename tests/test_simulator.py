@@ -220,6 +220,21 @@ def test_deadlock_detected():
     assert err.value.code == "E-DEADLOCK"
 
 
+def test_duplicate_request_ids_are_rejected():
+    # Merged by id, the plan would report 2 requests and 13000 bytes.
+    p = make_plan(
+        [
+            request(0, [("a", "root")], 1000),
+            request(1, [("a", "b")], 5000, deps=[0]),
+            request(1, [("a", "c")], 7000, deps=[0]),
+        ]
+    )
+    with pytest.raises(ToolError) as err:
+        simulate(p, FAST_NET)
+    assert err.value.code == "E-DUP-REQUEST"
+    assert "request id 1 " in err.value.message
+
+
 def test_deadlock_after_root_finishes():
     # The root runs to completion; only then are the remaining requests stuck.
     p = make_plan(

@@ -222,6 +222,10 @@ class _Level(enum.IntEnum):
 
 
 _text = st.text(max_size=8)
+# Values that equal one another but are written differently, drawn often so
+# that one log repeats them: export_jsonl's memos must keep them apart.
+_NAN, _INF = float("nan"), float("inf")
+_traps = st.sampled_from([0.0, -0.0, 1, 1.0, True, _Level.LOW, _NAN, _INF, -_INF, "s1"])
 _scalar = (
     st.none()
     | st.booleans()
@@ -229,6 +233,7 @@ _scalar = (
     | st.floats()  # NaN and infinities included
     | _text
     | st.sampled_from(list(_Level))
+    | _traps
 )
 _key = _text | st.integers() | st.floats() | st.booleans() | st.none()
 _json_value = st.recursive(
@@ -236,7 +241,7 @@ _json_value = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_key, inner, max_size=3),
     max_leaves=8,
 )
-_time = st.integers() | st.floats()
+_time = st.integers() | st.floats() | _traps
 _span = st.builds(
     Span,
     _text,
@@ -254,6 +259,19 @@ _span = st.builds(
 @example([Span("t\u00e9\x00\n\u2028", "s1", None, "\ud83d\ude00", 0, 1.5, {})])
 @example([Span("t", "s1", "s0", "n", float("nan"), float("inf"), {"a": -float("inf"), "b": True})])
 @example([Span("t", "s1", None, "n", 1, 2, {"level": _Level.HIGH, 3: "x", "nested": {"k": [1.0, None]}})])
+@example(
+    # One log that repeats every value a memo could confuse, in both orders.
+    [
+        Span("s1", "s1", None, "s1", 0.0, -0.0, {"z": 0.0, "nz": -0.0, "id": "s1"}),
+        Span("s1", "s2", "s1", "s1", -0.0, 0.0, {"nz": -0.0, "z": 0.0, "s1": "s1"}),
+        Span("s1", "s3", "s1", "t", 1.0, 1, {"f": 1.0, "i": 1, "b": True, "e": _Level.LOW}),
+        Span("s1", "s4", "s1", "t", 1, 1.0, {"b": True, "e": _Level.LOW, "i": 1, "f": 1.0}),
+        Span("s1", "s5", "s1", "t", True, _Level.LOW, {"e": _Level.LOW, "b": True, "f": 1.0}),
+        Span("s1", "s6", "s1", "t", _NAN, _NAN, {"nan": _NAN, "inf": _INF, "ninf": -_INF}),
+        Span("s1", "s7", "s1", "t", -_INF, _INF, {"ninf": -_INF, "inf": _INF, "nan": float("nan")}),
+    ]
+    + [Span("s1", f"s{i}", "s1", "t", i % 3 + 0.5, i % 5 + 0.25, {"at": i % 3 + 0.5}) for i in range(8, 40)]
+)
 def test_export_jsonl_equals_json_dumps_per_span(spans):
     log = TraceLog(spans=spans)
     assert export_jsonl(log) == "".join(json.dumps(s.to_json()) + "\n" for s in log.spans)
