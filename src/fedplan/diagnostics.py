@@ -8,6 +8,26 @@ from dataclasses import dataclass, field
 ERROR = "error"
 WARNING = "warning"
 
+# Longest text a diagnostic message quotes in full.
+QUOTE_LIMIT = 64
+
+
+def quote(value: object) -> str:
+    """repr() of a value for a diagnostic message, bounded.
+
+    A str longer than QUOTE_LIMIT is quoted by its first QUOTE_LIMIT
+    characters plus its length; any other value by the first QUOTE_LIMIT
+    characters of its repr() plus that repr's length.
+    """
+    if isinstance(value, str):
+        if len(value) <= QUOTE_LIMIT:
+            return repr(value)
+        return f"{value[:QUOTE_LIMIT]!r}... ({len(value)} characters)"
+    text = repr(value)
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
+
 
 @dataclass(frozen=True)
 class Diagnostic:

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .diagnostics import Diagnostic, DiagnosticBag, ERROR, WARNING, ToolError, parse_json
+from .diagnostics import Diagnostic, DiagnosticBag, ERROR, WARNING, ToolError, parse_json, quote
 
 if TYPE_CHECKING:
     from .manifest import Workspace
@@ -159,7 +159,7 @@ def _type_node(node: object, depth: int) -> TypeExpr:
         return FunctionType(parsed_params, _child(node["returns"], depth, ".returns"))
     if kind == "ref":
         raise ToolError("E-RECURSIVE-TYPE", "named type references are not supported")
-    raise ToolError("E-SYNTAX", f"unknown type kind {kind!r}")
+    raise ToolError("E-SYNTAX", f"unknown type kind {quote(kind)}")
 
 
 def serialize_type_node(t: TypeExpr) -> dict:

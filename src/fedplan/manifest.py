@@ -6,10 +6,13 @@ the transitive closure of remote manifests it references, each loaded exactly
 once. Unknown fields warn instead of erroring: independently deployed teams
 evolve their manifests on their own schedules.
 
-Every field decodes through `_field` with value checks that take no path:
-an error's location is formatted in one place, and only when a field fails,
-as are `validate_manifest`'s paths. An `expects` entry decodes straight into
-an `interfaces.Expectation` whose consumer is the manifest's own name.
+Each record kind (module, expose, remote, shared, expects entry, the manifest
+itself) is one table of fields: JSON name, attribute, value checks, default and
+rendering. `_walk` decodes from the tables and `serialize_manifest` writes from
+them. Module entries, the bulk of a workspace, are first decoded by inline
+checks that accept what their table accepts; only an entry that fails them is
+walked, so every diagnostic comes from the walk. The pass over the modules also
+indexes them and makes `validate_manifest`'s per-module checks.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, NamedTuple
 
-from .diagnostics import Diagnostic, DiagnosticBag, ToolError, parse_json
+from .diagnostics import Diagnostic, DiagnosticBag, ToolError, parse_json, quote
 from .interfaces import Expectation, parse_type_node, serialize_type_node
 from .semver import (
     Version,
@@ -69,7 +74,9 @@ def render_import_ref(ref) -> str:
     return ref.package
 
 
-@dataclass(frozen=True)
+# Slotted and not frozen: a workspace builds thousands of module and shared records,
+# and a frozen dataclass pays an object.__setattr__ per field. Nothing hashes them.
+@dataclass(slots=True)
 class ModuleDecl:
     id: str
     size_bytes: int
@@ -90,7 +97,7 @@ class RemoteRef:
     manifest_path: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SharedSpec:
     package: str
     required_range: VersionRange
@@ -99,6 +106,39 @@ class SharedSpec:
     eager: bool
     strict_version: bool
     size_bytes: int
+
+
+class _Index(NamedTuple):
+    """A manifest's modules and exposes by id, the first declaration of an id winning."""
+
+    module_by_id: dict
+    expose_target: dict  # expose id -> module id
+    findings: DiagnosticBag  # what the module and expose checks report, in declaration order
+
+    def add_module(self, i: int, mod: ModuleDecl) -> None:
+        """Index `mod`, the i-th module, unless its id is taken; report what is wrong with it alone."""
+        if mod.id in self.module_by_id:
+            self.findings.error("E-DUP-MODULE", f".modules[{i}].id", f"module {mod.id!r} declared twice")
+        else:
+            self.module_by_id[mod.id] = mod
+        if mod.size_bytes < 0:
+            self.findings.error("E-NEGATIVE-SIZE", f".modules[{i}].sizeBytes", "sizeBytes must be >= 0")
+        if mod.static_imports and mod.dynamic_imports:
+            dup = set(mod.static_imports).intersection(mod.dynamic_imports)
+            for ref in sorted(render_import_ref(r) for r in dup) if dup else ():
+                message = f"import {ref!r} is both static and dynamic"
+                self.findings.error("E-DUP-IMPORT", f".modules[{i}]", message)
+
+    def add_exposes(self, exposes: tuple) -> None:
+        """Index the exposes, after every module; report duplicate ids and undeclared targets."""
+        for i, e in enumerate(exposes):
+            if e.id in self.expose_target:
+                self.findings.error("E-DUP-EXPOSE", f".exposes[{i}].id", f"expose {e.id!r} declared twice")
+            else:
+                self.expose_target[e.id] = e.module
+            if e.module not in self.module_by_id:
+                message = f"expose {e.id!r} points at undeclared module {e.module!r}"
+                self.findings.error("E-DANGLING-EXPOSE", f".exposes[{i}].module", message)
 
 
 @dataclass(frozen=True)
@@ -113,284 +153,251 @@ class FederationManifest:
     expects: tuple[Expectation, ...] = ()
     base_dir: str | None = field(default=None, compare=False)
 
+    @cached_property
+    def _index(self) -> _Index:
+        """Built on first use, unless parse_manifest set the one its decoding pass made."""
+        index = _Index({}, {}, DiagnosticBag())
+        for i, mod in enumerate(self.modules):
+            index.add_module(i, mod)
+        index.add_exposes(self.exposes)
+        return index
+
     def module(self, module_id: str) -> ModuleDecl | None:
-        for m in self.modules:
-            if m.id == module_id:
-                return m
-        return None
+        return self._index.module_by_id.get(module_id)
 
     def expose_target(self, expose_id: str) -> str | None:
-        for e in self.exposes:
-            if e.id == expose_id:
-                return e.module
-        return None
-
-
-_TOP_KEYS = {"name", "version", "entry", "modules", "exposes", "remotes", "shared", "expects"}
-_MODULE_KEYS = {"id", "sizeBytes", "staticImports", "dynamicImports", "interface"}
-_EXPOSE_KEYS = {"id", "module"}
-_REMOTE_KEYS = {"name", "manifest"}
-_SHARED_KEYS = {
-    "package",
-    "requiredRange",
-    "providedVersion",
-    "singleton",
-    "eager",
-    "strictVersion",
-    "sizeBytes",
-}
-_EXPECT_KEYS = {"target", "interface"}
+        return self._index.expose_target.get(expose_id)
 
 
 _ABSENT = object()
+_NO_REFS: list = []  # the value of an absent import array; never mutated
 
 
-def _field(obj: dict, key: str, path: str, *checks, default=_ABSENT):
-    """Decode obj[key] through `checks`, applied in order, each to the last one's result.
-
-    An absent key gives `default`, or E-MISSING-FIELD when there is none; an
-    explicit null counts as absent where the default is None. A check's
-    ToolError is raised again at `{path}.{key}` followed by the check's own
-    relative path (a ref's "[j]", a type node's ".element..."), so a location
-    is formatted only for a field that fails.
-    """
-    value = obj.get(key, _ABSENT)
-    if value is _ABSENT:
-        if default is _ABSENT:
-            raise ToolError("E-MISSING-FIELD", "required field missing", f"{path}.{key}")
-        return default
-    if value is None and default is None:
-        return None
-    try:
-        for check in checks:
-            value = check(value)
-    except ToolError as exc:
-        raise ToolError(exc.code, exc.message, f"{path}.{key}{exc.path}") from exc
-    return value
+def _check(test: Callable, message: str) -> Callable:
+    """A value check: the value itself if `test` holds for it, else E-SYNTAX `message`."""
+    def check(value):
+        if not test(value):
+            raise ToolError("E-SYNTAX", message)
+        return value
+    return check
 
 
-def _string(value) -> str:
-    if not isinstance(value, str) or not value:
-        raise ToolError("E-SYNTAX", "expected a non-empty string")
-    return value
+_string = _check(lambda v: isinstance(v, str) and v, "expected a non-empty string")
+_no_nul = _check(lambda v: "\0" not in v, "a path must not contain a NUL character")
+_integer = _check(lambda v: isinstance(v, int) and not isinstance(v, bool), "expected an integer")
+_bounded = _check(lambda v: v <= MAX_BYTES, "sizeBytes must be at most 2**53")
+_boolean = _check(lambda v: isinstance(v, bool), "expected a boolean")
+_array = _check(lambda v: isinstance(v, list), "expected an array")
 
 
-def _path(value) -> str:
-    text = _string(value)
-    if "\0" in text:
-        raise ToolError("E-SYNTAX", "a path must not contain a NUL character")
-    return text
+def _refs(value) -> tuple:
+    out = []
+    for j, text in enumerate(_array(value)):
+        try:
+            out.append(parse_import_ref(_string(text)))
+        except ToolError as exc:
+            raise ToolError(exc.code, exc.message, f"[{j}]") from exc
+    return tuple(out)
 
 
-def _size(value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ToolError("E-SYNTAX", "expected an integer")
-    if value > MAX_BYTES:
-        raise ToolError("E-SYNTAX", "sizeBytes must be at most 2**53")
-    return value
+class ImportRefs(dict):
+    """Import refs by text, each parsed on its first lookup; a text that is not a
+    non-empty string raises. One per workspace: its modules share the (frozen) refs."""
 
-
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise ToolError("E-SYNTAX", "expected a boolean")
-    return value
-
-
-def _array(value) -> list:
-    if not isinstance(value, list):
-        raise ToolError("E-SYNTAX", "expected an array")
-    return value
-
-
-def ref_decoder():
-    """A check that decodes an array of import refs, each distinct string once.
-
-    Refs repeat heavily across modules and across the manifests of one
-    workspace (package and remote refs, and local refs to modules of the
-    same name), so load_workspace makes one decoder per workspace and its
-    modules share the (frozen) ref objects.
-    """
-    parsed: dict[str, object] = {}
-
-    def refs(value) -> tuple:
-        out = []
-        for j, text in enumerate(_array(value)):
-            ref = parsed.get(text) if type(text) is str else None
-            if ref is None:
-                try:
-                    ref = parsed[text] = parse_import_ref(_string(text))
-                except ToolError as exc:
-                    raise ToolError(exc.code, exc.message, f"[{j}]") from exc
-            out.append(ref)
-        return tuple(out)
-
-    return refs
+    def __missing__(self, text):
+        ref = self[text] = parse_import_ref(_string(text))
+        return ref
 
 
 def _target(text: str) -> tuple[str, str, str]:
     """Split "remote/expose#export"."""
     ref, sep, export = text.rpartition("#")
     if not sep or not export or "/" not in ref:
-        raise ToolError("E-SYNTAX", f'target must look like "remote/expose#export", got {text!r}')
+        raise ToolError("E-SYNTAX", f'target must look like "remote/expose#export", got {quote(text)}')
     remote, expose = ref.split("/", 1)
     return remote, expose, export
 
 
-def _record(obj, path: str, known: set, bag: DiagnosticBag, error: str) -> None:
-    """Entry prologue: `obj` must be an object; its unknown keys warn."""
+class _Decoding(NamedTuple):
+    refs: ImportRefs  # the workspace's
+    bag: DiagnosticBag  # the manifest's warnings
+    index: _Index  # what the pass over its modules finds
+
+
+class _Field(NamedTuple):
+    key: str  # the JSON name
+    attr: str  # the record's attribute
+    checks: tuple  # applied in order, each to the last one's result
+    default: object = _ABSENT  # the value of an absent key; _ABSENT where it is required
+    render: Callable | None = None  # attribute -> JSON; None: the attribute itself
+    entries: Callable | None = None  # decodes an array's entries: (items, path, _Decoding) -> tuple
+    optional: bool = False  # serialize_manifest leaves the key out when the value is None or ()
+
+
+class _Kind:
+    """A record kind: the error for an entry that is not an object, its constructor, its fields."""
+
+    def __init__(self, error: str, make: Callable, *fields: _Field) -> None:
+        self.error, self.make, self.fields = error, make, fields
+        self.keys = frozenset(f.key for f in fields)
+
+    def entries(self, items: list, path: str, decoding: _Decoding) -> tuple:
+        return tuple(self.make(*_walk(obj, self, f"{path}[{i}]", decoding)) for i, obj in enumerate(items))
+
+    def to_json(self, record) -> dict:
+        doc = {}
+        for f in self.fields:
+            value = getattr(record, f.attr)
+            if not (f.optional and (value is None or value == ())):
+                doc[f.key] = value if f.render is None else f.render(value)
+        return doc
+
+    def all_to_json(self, records) -> list:
+        return [self.to_json(r) for r in records]
+
+
+def _walk(obj, kind: _Kind, path: str, decoding: _Decoding) -> list:
+    """The table walk: obj's unknown keys warn, then its fields decode in table order.
+
+    An absent key gives the default, or E-MISSING-FIELD when there is none; a null
+    is absent where the default is None. The first failing check raises at
+    `{path}.{key}` plus its own relative path (a ref's "[j]", a type node's
+    ".element..."), so a location is formatted only on failure. An array's
+    entries decode before the next field is read.
+    """
     if not isinstance(obj, dict):
-        raise ToolError("E-SYNTAX", error, path)
+        raise ToolError("E-SYNTAX", kind.error, path)
     for key in obj:
-        if key not in known:
-            bag.warning("W-UNKNOWN-FIELD", f"{path}.{key}", f"unknown field {key!r} ignored")
+        if key not in kind.keys:
+            decoding.bag.warning("W-UNKNOWN-FIELD", f"{path}.{key}", f"unknown field {quote(key)} ignored")
+    values = []
+    for f in kind.fields:
+        value = obj.get(f.key, _ABSENT)
+        if value is _ABSENT:
+            if f.default is _ABSENT:
+                raise ToolError("E-MISSING-FIELD", "required field missing", f"{path}.{f.key}")
+            value = f.default
+        elif value is not None or f.default is not None:
+            try:
+                for check in f.checks:
+                    value = check(value)
+            except ToolError as exc:
+                raise ToolError(exc.code, exc.message, f"{path}.{f.key}{exc.path}") from exc
+        values.append(value if f.entries is None else f.entries(value, f"{path}.{f.key}", decoding))
+    return values
 
 
-def _parse_module(obj, path: str, bag: DiagnosticBag, refs) -> ModuleDecl:
-    _record(obj, path, _MODULE_KEYS, bag, "module entry must be an object")
-    return ModuleDecl(
-        id=_field(obj, "id", path, _string),
-        size_bytes=_field(obj, "sizeBytes", path, _size, default=0),
-        static_imports=_field(obj, "staticImports", path, refs, default=()),
-        dynamic_imports=_field(obj, "dynamicImports", path, refs, default=()),
-        interface=_field(obj, "interface", path, _path, default=None),
-    )
+def _refs_to_json(refs: tuple) -> list:
+    return [render_import_ref(r) for r in refs]
 
 
-def _parse_expose(obj, path: str, bag: DiagnosticBag) -> ExposeDecl:
-    _record(obj, path, _EXPOSE_KEYS, bag, "expose entry must be an object")
-    return ExposeDecl(_field(obj, "id", path, _string), _field(obj, "module", path, _string))
+_MODULE = _Kind(
+    "module entry must be an object", ModuleDecl,
+    _Field("id", "id", (_string,)),
+    _Field("sizeBytes", "size_bytes", (_integer, _bounded), 0),
+    _Field("staticImports", "static_imports", (_refs,), (), _refs_to_json),
+    _Field("dynamicImports", "dynamic_imports", (_refs,), (), _refs_to_json),
+    _Field("interface", "interface", (_string, _no_nul), None, optional=True),
+)
+_EXPOSE = _Kind(
+    "expose entry must be an object", ExposeDecl,
+    _Field("id", "id", (_string,)),
+    _Field("module", "module", (_string,)),
+)
+_REMOTE = _Kind(
+    "remote entry must be an object", RemoteRef,
+    _Field("name", "name", (_string,)),
+    _Field("manifest", "manifest_path", (_string, _no_nul)),
+)
+_SHARED = _Kind(
+    "shared entry must be an object", SharedSpec,
+    _Field("package", "package", (_string,)),
+    _Field("requiredRange", "required_range", (_string, parse_range), render=render_range),
+    _Field("providedVersion", "provided_version", (_string, parse_version), None, str, optional=True),
+    _Field("singleton", "singleton", (_boolean,), False),
+    _Field("eager", "eager", (_boolean,), False),
+    _Field("strictVersion", "strict_version", (_boolean,), False),
+    _Field("sizeBytes", "size_bytes", (_integer, _bounded), 0),
+)
+# An expects entry decodes to (target, type); parse_manifest makes the Expectation,
+# whose consumer is the manifest's own name. Its attribute "target" is a method.
+_EXPECT = _Kind(
+    "expects entry must be an object", lambda target, expected: (target, expected),
+    _Field("target", "target", (_string, _target), render=lambda target: target()),
+    _Field("interface", "expected", (parse_type_node,), render=serialize_type_node),
+)
 
 
-def _parse_remote(obj, path: str, bag: DiagnosticBag) -> RemoteRef:
-    _record(obj, path, _REMOTE_KEYS, bag, "remote entry must be an object")
-    return RemoteRef(_field(obj, "name", path, _string), _field(obj, "manifest", path, _path))
+def _module_entries(items: list, path: str, decoding: _Decoding) -> tuple:
+    """Decode the modules, index them by id and make the per-module checks, in one pass.
+
+    _MODULE's checks run inline; only an entry that fails one, or has an unknown key, is walked.
+    """
+    ref, modules = decoding.refs.__getitem__, []
+    for i, obj in enumerate(items):
+        mod = None
+        if type(obj) is dict and obj.keys() <= _MODULE.keys:
+            id_, size, interface = obj.get("id"), obj.get("sizeBytes", 0), obj.get("interface")
+            static, dynamic = obj.get("staticImports", _NO_REFS), obj.get("dynamicImports", _NO_REFS)
+            if (
+                type(id_) is str and id_ and type(size) is int and size <= MAX_BYTES
+                and type(static) is list and type(dynamic) is list
+                and (interface is None or type(interface) is str and interface and "\0" not in interface)
+            ):
+                try:
+                    mod = ModuleDecl(id_, size, tuple(map(ref, static)), tuple(map(ref, dynamic)), interface)
+                except (ToolError, TypeError):  # a ref that is not a non-empty string
+                    pass
+        if mod is None:
+            mod = ModuleDecl(*_walk(obj, _MODULE, f"{path}[{i}]", decoding))
+        decoding.index.add_module(i, mod)
+        modules.append(mod)
+    return tuple(modules)
 
 
-def _parse_shared(obj, path: str, bag: DiagnosticBag) -> SharedSpec:
-    _record(obj, path, _SHARED_KEYS, bag, "shared entry must be an object")
-    return SharedSpec(
-        package=_field(obj, "package", path, _string),
-        required_range=_field(obj, "requiredRange", path, _string, parse_range),
-        provided_version=_field(obj, "providedVersion", path, _string, parse_version, default=None),
-        singleton=_field(obj, "singleton", path, _boolean, default=False),
-        eager=_field(obj, "eager", path, _boolean, default=False),
-        strict_version=_field(obj, "strictVersion", path, _boolean, default=False),
-        size_bytes=_field(obj, "sizeBytes", path, _size, default=0),
-    )
+_TOP = _Kind(
+    "manifest must be a JSON object", FederationManifest,
+    _Field("name", "name", (_string,)),
+    _Field("version", "version", (_string, parse_version), render=str),
+    _Field("entry", "entry", (_string,), None, optional=True),
+    _Field("modules", "modules", (_array,), (), _MODULE.all_to_json, _module_entries),
+    _Field("exposes", "exposes", (_array,), (), _EXPOSE.all_to_json, _EXPOSE.entries),
+    _Field("remotes", "remotes", (_array,), (), _REMOTE.all_to_json, _REMOTE.entries),
+    _Field("shared", "shared", (_array,), (), _SHARED.all_to_json, _SHARED.entries),
+    _Field("expects", "expects", (_array,), (), _EXPECT.all_to_json, _EXPECT.entries, optional=True),
+)
 
 
-def _parse_expect(obj, path: str, bag: DiagnosticBag, consumer: str) -> Expectation:
-    _record(obj, path, _EXPECT_KEYS, bag, "expects entry must be an object")
-    remote, expose, export = _field(obj, "target", path, _string, _target)
-    return Expectation(consumer, remote, expose, export, _field(obj, "interface", path, parse_type_node))
-
-
-def _entries(doc: dict, key: str, parse, bag: DiagnosticBag, *args) -> tuple:
-    """Decode the array doc[key] with `parse`, one entry at a time."""
-    return tuple(
-        parse(obj, f".{key}[{i}]", bag, *args)
-        for i, obj in enumerate(_field(doc, key, "", _array, default=()))
-    )
-
-
-def parse_manifest(text: str, refs=None) -> tuple[FederationManifest, list[Diagnostic]]:
+def parse_manifest(
+    text: str, refs: ImportRefs | None = None, base_dir: str | None = None
+) -> tuple[FederationManifest, list[Diagnostic]]:
     """Parse one manifest document; returns the manifest plus forward-compat warnings.
 
-    `refs` decodes import-ref arrays: a `ref_decoder()` shared by the
-    manifests of one workspace, or by default a new one for this call.
+    The manifests of one workspace share `refs`; by default this call makes its own.
     """
-    doc = parse_json(text, "E-SYNTAX")
-    bag = DiagnosticBag()
-    _record(doc, "", _TOP_KEYS, bag, "manifest must be a JSON object")
-    name = _field(doc, "name", "", _string)
-    manifest = FederationManifest(
-        name=name,
-        version=_field(doc, "version", "", _string, parse_version),
-        entry=_field(doc, "entry", "", _string, default=None),
-        modules=_entries(doc, "modules", _parse_module, bag, refs or ref_decoder()),
-        exposes=_entries(doc, "exposes", _parse_expose, bag),
-        remotes=_entries(doc, "remotes", _parse_remote, bag),
-        shared=_entries(doc, "shared", _parse_shared, bag),
-        expects=_entries(doc, "expects", _parse_expect, bag, name),
-    )
-    return manifest, bag.items
-
-
-def manifest_to_json(m: FederationManifest) -> dict:
-    doc: dict = {"name": m.name, "version": str(m.version)}
-    if m.entry is not None:
-        doc["entry"] = m.entry
-    doc["modules"] = [
-        {
-            "id": mod.id,
-            "sizeBytes": mod.size_bytes,
-            "staticImports": [render_import_ref(r) for r in mod.static_imports],
-            "dynamicImports": [render_import_ref(r) for r in mod.dynamic_imports],
-            **({"interface": mod.interface} if mod.interface is not None else {}),
-        }
-        for mod in m.modules
-    ]
-    doc["exposes"] = [{"id": e.id, "module": e.module} for e in m.exposes]
-    doc["remotes"] = [{"name": r.name, "manifest": r.manifest_path} for r in m.remotes]
-    doc["shared"] = [
-        {
-            "package": s.package,
-            "requiredRange": render_range(s.required_range),
-            **(
-                {"providedVersion": str(s.provided_version)}
-                if s.provided_version is not None
-                else {}
-            ),
-            "singleton": s.singleton,
-            "eager": s.eager,
-            "strictVersion": s.strict_version,
-            "sizeBytes": s.size_bytes,
-        }
-        for s in m.shared
-    ]
-    if m.expects:
-        doc["expects"] = [
-            {
-                "target": x.target(),
-                "interface": serialize_type_node(x.expected),
-            }
-            for x in m.expects
-        ]
-    return doc
+    index = _Index({}, {}, DiagnosticBag())
+    decoding = _Decoding(ImportRefs() if refs is None else refs, DiagnosticBag(), index)
+    values = _walk(parse_json(text, "E-SYNTAX"), _TOP, "", decoding)
+    name, version, entry, modules, exposes, remotes, shared, expects = values
+    expects = tuple(Expectation(name, *target, expected) for target, expected in expects)
+    manifest = FederationManifest(name, version, entry, modules, exposes, remotes, shared, expects, base_dir)
+    index.add_exposes(exposes)
+    object.__setattr__(manifest, "_index", index)
+    return manifest, decoding.bag.items
 
 
 def serialize_manifest(m: FederationManifest) -> str:
     """Canonical form: parse -> serialize -> parse is a fixed point."""
-    return json.dumps(manifest_to_json(m), indent=2) + "\n"
+    return json.dumps(_TOP.to_json(m), indent=2) + "\n"
 
 
 def validate_manifest(m: FederationManifest) -> list[Diagnostic]:
-    """Report every invariant violation as a diagnostic; empty list iff valid."""
-    bag = DiagnosticBag()
+    """Report every invariant violation as a diagnostic; empty list iff valid.
 
-    module_ids = set()
-    for i, mod in enumerate(m.modules):
-        if mod.id in module_ids:
-            bag.error("E-DUP-MODULE", f".modules[{i}].id", f"module {mod.id!r} declared twice")
-        module_ids.add(mod.id)
-        if mod.size_bytes < 0:
-            bag.error("E-NEGATIVE-SIZE", f".modules[{i}].sizeBytes", "sizeBytes must be >= 0")
-        dup = set(mod.static_imports).intersection(mod.dynamic_imports)
-        if dup:
-            for ref in sorted(render_import_ref(r) for r in dup):
-                bag.error("E-DUP-IMPORT", f".modules[{i}]", f"import {ref!r} is both static and dynamic")
-
-    expose_ids = set()
-    for i, exp in enumerate(m.exposes):
-        if exp.id in expose_ids:
-            bag.error("E-DUP-EXPOSE", f".exposes[{i}].id", f"expose {exp.id!r} declared twice")
-        expose_ids.add(exp.id)
-        if exp.module not in module_ids:
-            bag.error(
-                "E-DANGLING-EXPOSE",
-                f".exposes[{i}].module",
-                f"expose {exp.id!r} points at undeclared module {exp.module!r}",
-            )
+    The module and expose checks come from the pass that indexed them.
+    """
+    bag = DiagnosticBag(list(m._index.findings.items))
+    module_ids = m._index.module_by_id
 
     if m.entry is not None and m.entry not in module_ids:
         bag.error("E-DANGLING-ENTRY", ".entry", f"entry {m.entry!r} is not a declared module")
@@ -412,33 +419,25 @@ def validate_manifest(m: FederationManifest) -> list[Diagnostic]:
         shared_packages.add(spec.package)
         if spec.size_bytes < 0:
             bag.error("E-NEGATIVE-SIZE", f".shared[{i}].sizeBytes", "sizeBytes must be >= 0")
-        if spec.provided_version is not None and not satisfies(
-            spec.required_range, spec.provided_version
-        ):
-            bag.warning(
-                "W-SELF-RANGE",
-                f".shared[{i}].providedVersion",
-                f"provided {spec.provided_version} does not satisfy own range "
-                f"{render_range(spec.required_range)!r}",
-            )
+        if spec.provided_version is not None and not satisfies(spec.required_range, spec.provided_version):
+            message = (f"provided {spec.provided_version} does not satisfy own range "
+                       f"{render_range(spec.required_range)!r}")
+            bag.warning("W-SELF-RANGE", f".shared[{i}].providedVersion", message)
 
+    declared = {  # ref type -> (its name attribute, the names declared, code, message)
+        LocalImport: ("module", module_ids, "E-DANGLING-LOCAL", "import of undeclared module"),
+        RemoteImport: ("remote", remote_names, "E-UNDECLARED-REMOTE", "import from undeclared remote"),
+        SharedImport: (
+            "package", shared_packages, "E-UNDECLARED-SHARED", "import of undeclared shared package"
+        ),
+    }
     for i, mod in enumerate(m.modules):
         for group, refs in (("staticImports", mod.static_imports), ("dynamicImports", mod.dynamic_imports)):
             for j, ref in enumerate(refs):
-                if isinstance(ref, LocalImport):
-                    if ref.module in module_ids:
-                        continue
-                    code, message = "E-DANGLING-LOCAL", f"import of undeclared module {ref.module!r}"
-                elif isinstance(ref, RemoteImport):
-                    if ref.remote in remote_names:
-                        continue
-                    code, message = "E-UNDECLARED-REMOTE", f"import from undeclared remote {ref.remote!r}"
-                elif ref.package in shared_packages:
-                    continue
-                else:
-                    code = "E-UNDECLARED-SHARED"
-                    message = f"import of undeclared shared package {ref.package!r}"
-                bag.error(code, f".modules[{i}].{group}[{j}]", message)
+                attr, names, code, message = declared[type(ref)]
+                name = getattr(ref, attr)
+                if name not in names:
+                    bag.error(code, f".modules[{i}].{group}[{j}]", f"{message} {name!r}")
 
     return bag.items
 
@@ -481,7 +480,7 @@ def load_workspace(host_path: str) -> tuple[Workspace, list[Diagnostic]]:
     # (real path, path as given, manifest, its remotes not yet followed).
     frames: list[tuple] = []
     on_stack: set[str] = set()
-    refs = ref_decoder()
+    refs = ImportRefs()
 
     def enter(path_given: str, real: str) -> FederationManifest:
         try:
@@ -492,17 +491,13 @@ def load_workspace(host_path: str) -> tuple[Workspace, list[Diagnostic]]:
         except UnicodeDecodeError as exc:
             raise ToolError("E-SYNTAX", f"{path_given}: not valid UTF-8: {exc}")
         try:
-            manifest, warns = parse_manifest(text, refs)
+            manifest, warns = parse_manifest(text, refs, os.path.dirname(path_given))
         except ToolError as exc:
             raise ToolError(exc.code, f"{path_given}: {exc.message}", exc.path) from exc
         bag.extend([replace(w, path=f"{path_given}:{w.path}") for w in warns])
-        manifest = replace(manifest, base_dir=os.path.dirname(path_given))
         if manifest.name in names and names[manifest.name][0] != real:
-            raise ToolError(
-                "E-DUP-APP",
-                f"two applications named {manifest.name!r}: "
-                f"{names[manifest.name][1]} and {path_given}",
-            )
+            message = f"two applications named {manifest.name!r}: {names[manifest.name][1]} and {path_given}"
+            raise ToolError("E-DUP-APP", message)
         names[manifest.name] = (real, path_given)
         loaded[real] = manifest
         frames.append((real, path_given, manifest, iter(manifest.remotes)))
@@ -513,21 +508,14 @@ def load_workspace(host_path: str) -> tuple[Workspace, list[Diagnostic]]:
     while frames:
         real, path_given, manifest, remotes = frames[-1]
         for remote in remotes:
-            target_given = os.path.normpath(
-                os.path.join(os.path.dirname(path_given), remote.manifest_path)
-            )
+            target_given = os.path.normpath(os.path.join(os.path.dirname(path_given), remote.manifest_path))
             target_real = os.path.realpath(target_given)
             if target_real == real:
-                raise ToolError(
-                    "E-REMOTE-CYCLE",
-                    f"{manifest.name} references its own manifest via remote {remote.name!r}",
-                )
+                message = f"{manifest.name} references its own manifest via remote {remote.name!r}"
+                raise ToolError("E-REMOTE-CYCLE", message)
             if target_real == host_real:
-                bag.warning(
-                    "W-BIDIRECTIONAL",
-                    path_given,
-                    f"{manifest.name} consumes the host as remote {remote.name!r}",
-                )
+                message = f"{manifest.name} consumes the host as remote {remote.name!r}"
+                bag.warning("W-BIDIRECTIONAL", path_given, message)
                 alias_targets[(manifest.name, remote.name)] = host.name
                 continue
             if target_real in on_stack:

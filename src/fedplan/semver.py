@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagnostics import ToolError
+from .diagnostics import ToolError, quote
 
 # [0-9], not \d: \d also matches fullwidth, Arabic-Indic and other Unicode
 # decimal digits, which int() accepts but no version in a manifest means.
@@ -23,16 +23,6 @@ _ATOM_RE = re.compile(r"^(>=|<=|>|<|=|\^|~)?([0-9]+)\.([0-9]+)\.([0-9]+)$")
 # Largest version component, as in node-semver (Number.MAX_SAFE_INTEGER).
 MAX_COMPONENT = 2**53 - 1
 _MAX_DIGITS = len(str(MAX_COMPONENT))
-
-# Longest text a diagnostic quotes in full.
-_QUOTE_LIMIT = 64
-
-
-def _quote(text: str) -> str:
-    """repr() of text, or of its first _QUOTE_LIMIT characters plus its length."""
-    if len(text) <= _QUOTE_LIMIT:
-        return repr(text)
-    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 @dataclass(frozen=True, order=True)
@@ -82,7 +72,7 @@ def _components(digits: tuple[str, str, str], code: str, text: str) -> Version:
         run = run.lstrip("0") or "0"
         value = int(run) if len(run) <= _MAX_DIGITS else MAX_COMPONENT + 1
         if value > MAX_COMPONENT:
-            raise ToolError(code, f"version components must be at most {MAX_COMPONENT}, got {_quote(text)}")
+            raise ToolError(code, f"version components must be at most {MAX_COMPONENT}, got {quote(text)}")
         parts.append(value)
     return Version(*parts)
 
@@ -92,7 +82,7 @@ def parse_version(text: str) -> Version:
     if not m:
         raise ToolError(
             "E-BAD-VERSION",
-            f"expected MAJOR.MINOR.PATCH with decimal components, got {_quote(text)}",
+            f"expected MAJOR.MINOR.PATCH with decimal components, got {quote(text)}",
         )
     return _components(m.groups(), "E-BAD-VERSION", text)
 
@@ -119,7 +109,7 @@ def _atom_interval(atom: str) -> tuple[Version, Version | None]:
         return (ZERO, None)
     m = _ATOM_RE.match(atom)
     if not m:
-        raise ToolError("E-BAD-RANGE", f"unsupported range token {_quote(atom)}")
+        raise ToolError("E-BAD-RANGE", f"unsupported range token {quote(atom)}")
     op = m.group(1) or "="
     v = _components(m.groups()[1:], "E-BAD-RANGE", atom)
     if op == "=":
@@ -169,7 +159,7 @@ def parse_range(text: str) -> VersionRange:
     for disjunct in text.split("||"):
         atoms = disjunct.split()
         if not atoms:
-            raise ToolError("E-BAD-RANGE", f"empty disjunct in range {_quote(text)}")
+            raise ToolError("E-BAD-RANGE", f"empty disjunct in range {quote(text)}")
         lo, hi = ZERO, None
         for atom in atoms:
             alo, ahi = _atom_interval(atom)

@@ -131,6 +131,24 @@ def test_parse_rejects_unknown_kind():
     assert err.value.code == "E-SYNTAX"
 
 
+@pytest.mark.parametrize(
+    "kind,message",
+    [
+        ("k" * 64, f"unknown type kind {'k' * 64!r}"),
+        ("k" * 5000, f"unknown type kind {'k' * 64!r}... (5000 characters)"),
+        ([0] * 3000, f"unknown type kind {repr([0] * 22)[:64]}... (9000 characters)"),
+        (None, "unknown type kind None"),
+    ],
+    ids=["64-characters", "5000-characters", "list", "none"],
+)
+def test_unknown_kind_is_quoted_by_a_bounded_prefix(kind, message):
+    # An unbounded repr() echoed 5,020 characters for a 5,000-character kind.
+    with pytest.raises(ToolError) as err:
+        parse_type_node({"kind": kind})
+    assert err.value.message == message
+    assert len(err.value.message) <= 110
+
+
 def test_subtype_primitives_reflexive():
     assert is_subtype(STR, STR)
     assert not is_subtype(STR, NUM)

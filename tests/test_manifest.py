@@ -1,15 +1,22 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedplan.diagnostics import ToolError
+from fedplan import manifest as manifest_module
+from fedplan.diagnostics import DiagnosticBag, ToolError
 from fedplan.manifest import (
+    ImportRefs,
     LocalImport,
+    ModuleDecl,
     RemoteImport,
     SharedImport,
+    SharedSpec,
     load_workspace,
     parse_import_ref,
     parse_manifest,
@@ -17,7 +24,7 @@ from fedplan.manifest import (
     validate_manifest,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, app, module
 
 MINIMAL = '{"name":"r","version":"1.0.0","modules":[],"exposes":[],"remotes":[],"shared":[]}'
 
@@ -487,3 +494,156 @@ def test_host_without_entry_is_missing_field(tmp_path: Path):
         "host manifest must declare an entry module",
         ".entry",
     )
+
+
+def test_long_target_is_quoted_by_a_bounded_prefix():
+    # Quoted whole, a 5,000-character target made a 5,052-character message.
+    target = "remote/" + "x" * 4993
+    with pytest.raises(ToolError) as err:
+        parse_manifest(_expect(target=target))
+    assert (err.value.message, err.value.path) == (
+        f"{_TARGET}{target[:64]!r}... (5000 characters)",
+        ".expects[0].target",
+    )
+    assert len(err.value.message) == 137
+
+
+def test_long_unknown_field_is_quoted_by_a_bounded_prefix():
+    key = "k" * 5000
+    _, warnings = parse_manifest(_doc(modules=[{**_MODULE, key: 1}]))
+    assert [(w.code, w.message) for w in warnings] == [
+        ("W-UNKNOWN-FIELD", f"unknown field {'k' * 64!r}... (5000 characters) ignored")
+    ]
+    assert len(warnings[0].message) == 109
+
+
+def _lookups(m) -> tuple:
+    return (
+        m.module("./A"),
+        m.module("./Ghost"),
+        m.expose_target("./X"),
+        m.expose_target("./Ghost"),
+    )
+
+
+def test_module_and_expose_indexes_first_declaration_wins():
+    m, _ = parse_manifest(
+        _doc(
+            modules=[{**_MODULE, "sizeBytes": 1}, {**_MODULE, "id": "./B"}, {**_MODULE, "sizeBytes": 2}],
+            exposes=[{"id": "./X", "module": "./B"}, {"id": "./X", "module": "./A"}],
+        )
+    )
+    assert _lookups(m) == (m.modules[0], None, "./B", None)
+    assert m.module("./A") is m.modules[0]
+    assert [d.code for d in validate_manifest(m)] == ["E-DUP-MODULE", "E-DUP-EXPOSE"]
+
+    built = app("r", modules=(module("./A", 1), module("./B"), module("./A", 2)),
+                exposes=(("./X", "./B"), ("./X", "./A")))
+    assert _lookups(built) == (built.modules[0], None, "./B", None)
+    assert validate_manifest(built) == validate_manifest(m)
+
+    # A copy with other modules or exposes indexes its own.
+    swapped = replace(built, modules=built.modules[::-1], exposes=built.exposes[::-1])
+    assert _lookups(swapped) == (swapped.modules[0], None, "./A", None)
+    assert swapped.module("./A").size_bytes == 2
+
+
+def test_loaded_manifests_carry_the_index_of_their_decoding_pass(fig1_host_path):
+    w, _ = load_workspace(fig1_host_path)
+    for application in w.applications():
+        assert "_index" in vars(application)  # set while decoding, not built on first use
+        assert application.base_dir and application.module(application.modules[0].id) is application.modules[0]
+
+
+def test_modules_share_interned_refs():
+    m, _ = parse_manifest(
+        _doc(modules=[{**_MODULE, "staticImports": ["react"]}, {**_MODULE, "id": "./B", "dynamicImports": ["react"]}])
+    )
+    assert m.modules[0].static_imports[0] is m.modules[1].dynamic_imports[0]
+
+
+# Inline decoding against the table walk: module and shared entries, valid or
+# with one field broken, decoded as one manifest must give the records,
+# warnings and first error that walking each entry's table alone gives. Module
+# entries take the inline path when they pass its checks.
+
+_REFS = ["./A", "./B", "r/./X", "react", "lodash"]
+# field -> (valid values, broken values)
+_MODULE_FIELDS = {
+    "id": (st.sampled_from(["./A", "./B", "./C"]), [None, "", 1, ["./A"]]),
+    "sizeBytes": (st.integers(-2, 2**53), [None, True, 1.0, "1", 2**53 + 1]),
+    "staticImports": (st.lists(st.sampled_from(_REFS), max_size=3), [None, "./A", {}, [3], [""], ["./A", None], [[]]]),
+    "dynamicImports": (st.lists(st.sampled_from(_REFS), max_size=3), [None, "./A", {}, [True], ["r/./X", ""]]),
+    "interface": (st.sampled_from([None, "a.json"]), ["", "a\0b", 7, False, []]),
+}
+_SHARED_FIELDS = {
+    "package": (st.sampled_from(["react", "lodash"]), [None, "", 1]),
+    "requiredRange": (st.sampled_from(["^18.0.0", ">=1.0.0 <2.0.0", "1.2.3"]), [None, "", "^1", "1.0.0 ||", 18]),
+    "providedVersion": (st.sampled_from([None, "18.2.0", "1.0.0"]), ["", "x", "1.0", 18, "9" * 20 + ".0.0"]),
+    "singleton": (st.booleans(), [None, 0, 1, "true"]),
+    "eager": (st.booleans(), [None, 1]),
+    "strictVersion": (st.booleans(), [None, 0]),
+    "sizeBytes": (st.integers(-2, 2**53), [None, True, 1.0, 2**53 + 1]),
+}
+
+
+_REQUIRED = ("id", "package", "requiredRange")
+
+
+def _entries(fields: dict):
+    @st.composite
+    def entry(draw):
+        # Required fields are always there, optional ones sometimes.
+        obj = {key: draw(valid) for key, (valid, _) in fields.items() if key in _REQUIRED or draw(st.booleans())}
+        if draw(st.booleans()):  # one field broken, or not an object, or an unknown key
+            key = draw(st.sampled_from([*fields, "extra", None]))
+            if key is None:
+                return draw(st.sampled_from([None, 1, "x", []]))
+            obj[key] = draw(st.sampled_from(fields[key][1] if key in fields else [0, None, "x"]))
+        return obj
+
+    return st.lists(entry(), max_size=4)
+
+
+def _decoded(text: str):
+    try:
+        m, warnings = parse_manifest(text)
+    except ToolError as exc:
+        return (exc.code, exc.message, exc.path)
+    return m.modules, m.shared, warnings
+
+
+def _walked(doc: dict):
+    index = manifest_module._Index({}, {}, DiagnosticBag())
+    walk, decoding = manifest_module._walk, manifest_module._Decoding(ImportRefs(), DiagnosticBag(), index)
+    try:
+        modules = tuple(
+            ModuleDecl(*walk(obj, manifest_module._MODULE, f".modules[{i}]", decoding))
+            for i, obj in enumerate(doc["modules"])
+        )
+        shared = tuple(
+            SharedSpec(*walk(obj, manifest_module._SHARED, f".shared[{i}]", decoding))
+            for i, obj in enumerate(doc["shared"])
+        )
+    except ToolError as exc:
+        return (exc.code, exc.message, exc.path)
+    return modules, shared, decoding.bag.items
+
+
+@settings(max_examples=300, deadline=None)
+@given(_entries(_MODULE_FIELDS), _entries(_SHARED_FIELDS))
+def test_inline_decoding_matches_the_table_walk(modules, shared):
+    doc = {"name": "r", "version": "1.0.0", "modules": modules, "shared": shared}
+    assert _decoded(json.dumps(doc)) == _walked(doc)
+
+
+@pytest.mark.parametrize("kind,fields", [("modules", _MODULE_FIELDS), ("shared", _SHARED_FIELDS)])
+def test_inline_decoding_matches_the_table_walk_field_by_field(kind, fields):
+    valid = {"modules": {**_MODULE, "interface": "a.json"}, "shared": {**_SHARED, "providedVersion": "18.2.0"}}[kind]
+    for key, (_, broken) in fields.items():
+        for value in [*broken, "absent"]:
+            entry = {k: v for k, v in valid.items() if k != key}
+            if value != "absent":
+                entry[key] = value
+            doc = {"name": "r", "version": "1.0.0", "modules": [], "shared": [], kind: [valid, entry]}
+            assert _decoded(json.dumps(doc)) == _walked(doc), (key, value)
