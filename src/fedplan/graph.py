@@ -8,13 +8,24 @@ cycles that span applications have no load order and are hard errors.
 A `ModuleGraph` builds its adjacency and fetch-unit contraction once, at
 construction, and raises E-XAPP-CYCLE there, so every graph that exists is a
 valid load graph. The functions below read those indexes; none rebuilds them.
+
+The indexes are over dense integer ids, not keys: node i is the i-th key in
+sorted order, and a fetch unit's id is its position among units ordered by
+their first node. Ids sort exactly as keys do, so every "smallest first" rule
+downstream (request ids, Kahn's ready heap, the importer that triggers a lazy
+request, FIFO ties at the concurrency cap) picks what it picked over keys.
+Adjacency is successor id lists with a STATIC / DYNAMIC bit per edge; the
+unit DAG is the same over unit ids, with the bits of an edge's module edges
+merged. Keys come back only where output needs them: payloads, triggers,
+`reachable_set`, DOT and JSON.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .diagnostics import Diagnostic, DiagnosticBag, ToolError
 from .manifest import LocalImport, RemoteImport, Workspace
@@ -40,30 +51,51 @@ class Edge:
     mode: str  # static | dynamic
 
 
+# Import modes as bits: a unit DAG edge carries the OR of the modes of the
+# module edges it contracts.
+STATIC = 1
+DYNAMIC = 2
+
+
 @dataclass(frozen=True)
 class ModuleGraph:
-    """Nodes, edges and root, plus indexes derived once at construction.
+    """Nodes, edges and root, plus indexes over dense ids derived once at construction.
 
-    `adjacency` maps each node to its outgoing edges; `units`, `unit_succs`
-    and `unit_of` are the fetch-unit contraction (see `fetch_units`).
-    Construction raises E-XAPP-CYCLE when a cycle spans applications.
+    Node i is `keys[i]`, the i-th key in sorted order, and `index` maps a key
+    to its id. `succs[i]` lists node i's successor ids, one per edge, and
+    `modes[i]` the STATIC / DYNAMIC bit of each. `units`, `unit_succs`,
+    `unit_of`, `unit_modes` and `unit_bytes` are the fetch-unit contraction
+    (see `fetch_units`). Construction raises E-XAPP-CYCLE when a cycle spans
+    applications.
     """
 
     nodes: dict[tuple[str, str], ModuleNode]
     edges: tuple[Edge, ...]
     root: tuple[str, str]
-    adjacency: dict[tuple[str, str], list[Edge]] = field(init=False, repr=False, compare=False)
-    units: list[tuple[tuple[str, str], ...]] = field(init=False, repr=False, compare=False)
-    unit_succs: dict[int, dict[int, set[str]]] = field(init=False, repr=False, compare=False)
-    unit_of: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    keys: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
+    index: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    succs: list[list[int]] = field(init=False, repr=False, compare=False)
+    modes: list[list[int]] = field(init=False, repr=False, compare=False)
+    units: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    unit_of: list[int] = field(init=False, repr=False, compare=False)
+    unit_succs: list[list[int]] = field(init=False, repr=False, compare=False)
+    unit_modes: list[list[int]] = field(init=False, repr=False, compare=False)
+    unit_bytes: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        adjacency: dict[tuple[str, str], list[Edge]] = {key: [] for key in self.nodes}
+        keys = tuple(sorted(self.nodes))
+        index = {key: i for i, key in enumerate(keys)}
+        succs: list[list[int]] = [[] for _ in keys]
+        modes: list[list[int]] = [[] for _ in keys]
         for edge in self.edges:
-            adjacency[edge.src].append(edge)
-        object.__setattr__(self, "adjacency", adjacency)
-        for name, index in zip(("units", "unit_succs", "unit_of"), fetch_units(self)):
-            object.__setattr__(self, name, index)
+            i = index[edge.src]
+            succs[i].append(index[edge.dst])
+            modes[i].append(DYNAMIC if edge.mode == "dynamic" else STATIC)
+        for name, value in (("keys", keys), ("index", index), ("succs", succs), ("modes", modes)):
+            object.__setattr__(self, name, value)
+        names = ("units", "unit_succs", "unit_of", "unit_modes", "unit_bytes")
+        for name, value in zip(names, fetch_units(self)):
+            object.__setattr__(self, name, value)
 
 
 def node_label(key: tuple[str, str]) -> str:
@@ -156,55 +188,73 @@ def build_graph(w: Workspace, res: ShareResolution) -> tuple[ModuleGraph, list[D
     return graph, bag.items
 
 
+def reachable_ids(g: ModuleGraph, include_dynamic: bool) -> list[int]:
+    """Ids of the nodes reachable from root, ascending (so in key order)."""
+    seen = bytearray(len(g.keys))
+    start = g.index[g.root]
+    seen[start] = 1
+    frontier = [start]
+    succs, modes = g.succs, g.modes
+    while frontier:
+        i = frontier.pop()
+        for j, mode in zip(succs[i], modes[i]):
+            if not seen[j] and (include_dynamic or mode == STATIC):
+                seen[j] = 1
+                frontier.append(j)
+    return list(compress(range(len(seen)), seen))
+
+
 def reachable_set(g: ModuleGraph, include_dynamic: bool) -> set[tuple[str, str]]:
     """Nodes reachable from root; dynamic edges are followed only when asked."""
-    seen = {g.root}
-    frontier = [g.root]
-    while frontier:
-        key = frontier.pop()
-        for edge in g.adjacency[key]:
-            if edge.dst not in seen and (include_dynamic or edge.mode != "dynamic"):
-                seen.add(edge.dst)
-                frontier.append(edge.dst)
-    return seen
+    keys = g.keys
+    return {keys[i] for i in reachable_ids(g, include_dynamic)}
 
 
-def _tarjan_sccs(g: ModuleGraph) -> list[tuple[tuple[str, str], ...]]:
-    """Strongly connected components as sorted tuples (iterative Tarjan)."""
-    index: dict[tuple[str, str], int] = {}
-    low: dict[tuple[str, str], int] = {}
-    on_stack: set[tuple[str, str]] = set()
-    stack: list[tuple[str, str]] = []
+def _tarjan_sccs(succs: list[list[int]]) -> list[tuple[int, ...]]:
+    """Strongly connected components of the id graph `succs`, as sorted id tuples.
+
+    Iterative Tarjan (1972): `order[i]` is i's discovery number, -1 until
+    found; a node leaves the stack, as part of its component, once the
+    component's first-found node completes.
+    """
+    n = len(succs)
+    order = [-1] * n
+    low = [0] * n
+    on_stack = bytearray(n)
+    stack: list[int] = []
     sccs = []
-    for start in sorted(g.nodes):
-        if start in index:
+    found = 0
+    for start in range(n):
+        if order[start] >= 0:
             continue
-        index[start] = low[start] = len(index)
+        order[start] = low[start] = found
+        found += 1
         stack.append(start)
-        on_stack.add(start)
-        work = [(start, iter(g.adjacency[start]))]  # (node, its unvisited edges)
+        on_stack[start] = 1
+        work = [(start, iter(succs[start]))]  # (node, its unvisited successors)
         while work:
-            node, edges = work[-1]
-            for edge in edges:
-                succ = edge.dst
-                if succ not in index:
-                    index[succ] = low[succ] = len(index)
+            node, rest = work[-1]
+            for succ in rest:
+                if order[succ] < 0:
+                    order[succ] = low[succ] = found
+                    found += 1
                     stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(g.adjacency[succ])))
+                    on_stack[succ] = 1
+                    work.append((succ, iter(succs[succ])))
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
+                if on_stack[succ] and order[succ] < low[node]:
+                    low[node] = order[succ]
             else:
                 work.pop()
                 if work:
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == order[node]:
                     scc = []
                     while not scc or scc[-1] != node:
                         scc.append(stack.pop())
-                        on_stack.discard(scc[-1])
+                        on_stack[scc[-1]] = 0
                     sccs.append(tuple(sorted(scc)))
     return sccs
 
@@ -212,69 +262,95 @@ def _tarjan_sccs(g: ModuleGraph) -> list[tuple[tuple[str, str], ...]]:
 def fetch_units(g: ModuleGraph):
     """Contract intra-application cycles into single fetch units.
 
-    Returns (units, unit_succs, unit_of): units are sorted key tuples in the
-    order of their first keys, unit_succs maps every unit index to
-    {successor index: import modes}, unit_of maps keys to unit indices. Raises
+    Returns (units, unit_succs, unit_of, unit_modes, unit_bytes) over node and
+    unit ids: units are sorted id tuples in the order of their first ids (so
+    of their first keys), unit_succs[u] lists u's successor units once each
+    and unit_modes[u] the STATIC / DYNAMIC bits of each, unit_of maps node ids
+    to unit ids, and unit_bytes[u] is the unit's total size. Raises
     E-XAPP-CYCLE when a cycle spans applications. `ModuleGraph` calls this
     once, when it is built.
     """
-    units = sorted(_tarjan_sccs(g))  # disjoint, so the first keys decide the order
+    keys = g.keys
+    units = sorted(_tarjan_sccs(g.succs))  # disjoint, so the first ids decide the order
     for unit in units:
-        if len({key[0] for key in unit}) > 1:
+        if len(unit) > 1 and len({keys[i][0] for i in unit}) > 1:
             raise ToolError(
                 "E-XAPP-CYCLE",
-                "cycle spans applications: " + ", ".join(node_label(k) for k in unit),
+                "cycle spans applications: " + ", ".join(node_label(keys[i]) for i in unit),
             )
-    unit_of = {key: i for i, unit in enumerate(units) for key in unit}
-    unit_succs: dict[int, dict[int, set[str]]] = {i: {} for i in range(len(units))}
-    for edge in g.edges:
-        a, b = unit_of[edge.src], unit_of[edge.dst]
-        if a != b:
-            unit_succs[a].setdefault(b, set()).add(edge.mode)
-    return units, unit_succs, unit_of
+    unit_of = [0] * len(keys)
+    for u, unit in enumerate(units):
+        for i in unit:
+            unit_of[i] = u
+    unit_succs, unit_modes, unit_bytes = [], [], []
+    nodes, succs, modes = g.nodes, g.succs, g.modes
+    for u, unit in enumerate(units):
+        merged: dict[int, int] = {}  # successor unit -> mode bits
+        size = 0
+        for i in unit:
+            size += nodes[keys[i]].size_bytes
+            for j, mode in zip(succs[i], modes[i]):
+                v = unit_of[j]
+                if v != u:
+                    merged[v] = merged.get(v, 0) | mode
+        unit_succs.append(list(merged))
+        unit_modes.append(list(merged.values()))
+        unit_bytes.append(size)
+    return units, unit_succs, unit_of, unit_modes, unit_bytes
 
 
-def topological_order(succs: dict, starts: Iterable) -> list:
-    """Kahn's algorithm over the nodes reachable from `starts` along `succs`.
+def topological_order(succs: list[list[int]], starts: Iterable[int]) -> list[int]:
+    """Kahn's algorithm over the ids reachable from `starts` along `succs`.
 
-    Among ready nodes the smallest goes first, so the order is deterministic.
-    Raises E-CYCLIC when those nodes hold a cycle.
+    Among ready ids the smallest goes first, so the order is deterministic.
+    Raises E-CYCLIC when those ids hold a cycle.
     """
-    pending = dict.fromkeys(starts, 0)
-    frontier = list(pending)
-    while frontier:
-        for v in succs.get(frontier.pop(), ()):
-            if v not in pending:
-                pending[v] = 0
+    indegree = [-1] * len(succs)  # -1: not reached
+    firsts = []
+    for u in starts:
+        if indegree[u] < 0:
+            indegree[u] = 0
+            firsts.append(u)
+    frontier = list(firsts)
+    reached = 0
+    while frontier:  # each reached id is expanded once, so each edge is counted once
+        reached += 1
+        for v in succs[frontier.pop()]:
+            if indegree[v] < 0:
+                indegree[v] = 1
                 frontier.append(v)
-    for u in pending:
-        for v in succs.get(u, ()):
-            pending[v] += 1
-    ready = [u for u, count in pending.items() if count == 0]
+            else:
+                indegree[v] += 1
+    ready = [u for u in firsts if not indegree[u]]
     heapq.heapify(ready)
     order = []
+    push, pop = heapq.heappush, heapq.heappop
     while ready:
-        u = heapq.heappop(ready)
+        u = pop(ready)
         order.append(u)
-        for v in succs.get(u, ()):
-            pending[v] -= 1
-            if pending[v] == 0:
-                heapq.heappush(ready, v)
-    if len(order) != len(pending):
+        for v in succs[u]:
+            indegree[v] -= 1
+            if not indegree[v]:
+                push(ready, v)
+    if len(order) != reached:
         raise ToolError("E-CYCLIC", "dependency graph has a cycle")
     return order
 
 
-def longest_path(succs: dict, starts: list) -> int:
-    """Nodes on the longest path that begins in `starts`, over the DAG `succs`.
+def longest_path(succs: list[list[int]], starts: Sequence[int]) -> int:
+    """Nodes on the longest path that begins in `starts`, over the id DAG `succs`.
 
     Iterative over a topological order, so a chain of any length fits.
     """
-    depth = dict.fromkeys(starts, 1)
+    depth = [0] * len(succs)
+    for u in starts:
+        depth[u] = 1
     for u in topological_order(succs, starts):
-        for v in succs.get(u, ()):
-            depth[v] = max(depth.get(v, 0), depth[u] + 1)
-    return max(depth.values(), default=0)
+        below = depth[u] + 1
+        for v in succs[u]:
+            if depth[v] < below:
+                depth[v] = below
+    return max(depth, default=0)
 
 
 def waterfall_depth(g: ModuleGraph) -> int:
@@ -284,19 +360,23 @@ def waterfall_depth(g: ModuleGraph) -> int:
     static and dynamic edges alike (dynamic discovery is what builds the
     waterfall in the first place).
     """
-    return longest_path(g.unit_succs, [g.unit_of[g.root]] if g.nodes else [])
+    return longest_path(g.unit_succs, [g.unit_of[g.index[g.root]]] if g.nodes else [])
 
 
 def detect_cycles(g: ModuleGraph) -> list[list[tuple[str, str]]]:
     """Strongly connected components with more than one node, plus self-loops."""
-    self_loops = {e.src for e in g.edges if e.src == e.dst}
-    return [list(unit) for unit in g.units if len(unit) > 1 or unit[0] in self_loops]
+    keys = g.keys
+    return [
+        [keys[i] for i in unit]
+        for unit in g.units
+        if len(unit) > 1 or unit[0] in g.succs[unit[0]]
+    ]
 
 
 def export_dot(g: ModuleGraph) -> str:
     """Deterministic DOT rendering: dashed dynamic edges, boxed shared packages."""
     lines = ["digraph modules {", "  rankdir=LR;"]
-    for key in sorted(g.nodes):
+    for key in g.keys:
         node = g.nodes[key]
         attrs = ["shape=box"] if node.kind == KIND_SHARED else ["shape=ellipse"]
         if node.kind == KIND_ENTRY:
@@ -319,7 +399,7 @@ def graph_to_json(g: ModuleGraph) -> dict:
                 "kind": g.nodes[key].kind,
                 "sizeBytes": g.nodes[key].size_bytes,
             }
-            for key in sorted(g.nodes)
+            for key in g.keys
         ],
         "edges": [
             {"from": node_label(e.src), "to": node_label(e.dst), "mode": e.mode}

@@ -200,13 +200,31 @@ def _refs(value) -> tuple:
     return tuple(out)
 
 
-class ImportRefs(dict):
-    """Import refs by text, each parsed on its first lookup; a text that is not a
-    non-empty string raises. One per workspace: its modules share the (frozen) refs."""
+def _import_ref(text) -> LocalImport | RemoteImport | SharedImport:
+    """An import ref from a JSON value; a value that is not a non-empty string raises."""
+    return parse_import_ref(_string(text))
+
+
+class Interned(dict):
+    """A workspace's parsed texts: `interned[parse][text]` is `parse(text)`, made on
+    the first lookup and shared after it, so each distinct import ref or range text
+    of a workspace is parsed once. The parsed values are frozen, so sharing is safe."""
+
+    def __missing__(self, parse: Callable) -> _Parsed:
+        table = self[parse] = _Parsed(parse)
+        return table
+
+
+class _Parsed(dict):
+    """One parser's results by text. A text that fails raises on every lookup."""
+
+    def __init__(self, parse: Callable) -> None:
+        super().__init__()
+        self.parse = parse
 
     def __missing__(self, text):
-        ref = self[text] = parse_import_ref(_string(text))
-        return ref
+        value = self[text] = self.parse(text)
+        return value
 
 
 def _target(text: str) -> tuple[str, str, str]:
@@ -219,7 +237,7 @@ def _target(text: str) -> tuple[str, str, str]:
 
 
 class _Decoding(NamedTuple):
-    refs: ImportRefs  # the workspace's
+    interned: Interned  # the workspace's
     bag: DiagnosticBag  # the manifest's warnings
     index: _Index  # what the pass over its modules finds
 
@@ -232,6 +250,7 @@ class _Field(NamedTuple):
     render: Callable | None = None  # attribute -> JSON; None: the attribute itself
     entries: Callable | None = None  # decodes an array's entries: (items, path, _Decoding) -> tuple
     optional: bool = False  # serialize_manifest leaves the key out when the value is None or ()
+    parse: Callable | None = None  # after the checks; interned, so once per distinct text
 
 
 class _Kind:
@@ -281,6 +300,8 @@ def _walk(obj, kind: _Kind, path: str, decoding: _Decoding) -> list:
             try:
                 for check in f.checks:
                     value = check(value)
+                if f.parse is not None:
+                    value = decoding.interned[f.parse][value]
             except ToolError as exc:
                 raise ToolError(exc.code, exc.message, f"{path}.{f.key}{exc.path}") from exc
         values.append(value if f.entries is None else f.entries(value, f"{path}.{f.key}", decoding))
@@ -312,7 +333,7 @@ _REMOTE = _Kind(
 _SHARED = _Kind(
     "shared entry must be an object", SharedSpec,
     _Field("package", "package", (_string,)),
-    _Field("requiredRange", "required_range", (_string, parse_range), render=render_range),
+    _Field("requiredRange", "required_range", (_string,), render=render_range, parse=parse_range),
     _Field("providedVersion", "provided_version", (_string, parse_version), None, str, optional=True),
     _Field("singleton", "singleton", (_boolean,), False),
     _Field("eager", "eager", (_boolean,), False),
@@ -333,7 +354,7 @@ def _module_entries(items: list, path: str, decoding: _Decoding) -> tuple:
 
     _MODULE's checks run inline; only an entry that fails one, or has an unknown key, is walked.
     """
-    ref, modules = decoding.refs.__getitem__, []
+    ref, modules = decoding.interned[_import_ref].__getitem__, []
     for i, obj in enumerate(items):
         mod = None
         if type(obj) is dict and obj.keys() <= _MODULE.keys:
@@ -369,14 +390,14 @@ _TOP = _Kind(
 
 
 def parse_manifest(
-    text: str, refs: ImportRefs | None = None, base_dir: str | None = None
+    text: str, interned: Interned | None = None, base_dir: str | None = None
 ) -> tuple[FederationManifest, list[Diagnostic]]:
     """Parse one manifest document; returns the manifest plus forward-compat warnings.
 
-    The manifests of one workspace share `refs`; by default this call makes its own.
+    The manifests of one workspace share `interned`; by default this call makes its own.
     """
     index = _Index({}, {}, DiagnosticBag())
-    decoding = _Decoding(ImportRefs() if refs is None else refs, DiagnosticBag(), index)
+    decoding = _Decoding(Interned() if interned is None else interned, DiagnosticBag(), index)
     values = _walk(parse_json(text, "E-SYNTAX"), _TOP, "", decoding)
     name, version, entry, modules, exposes, remotes, shared, expects = values
     expects = tuple(Expectation(name, *target, expected) for target, expected in expects)
@@ -480,7 +501,7 @@ def load_workspace(host_path: str) -> tuple[Workspace, list[Diagnostic]]:
     # (real path, path as given, manifest, its remotes not yet followed).
     frames: list[tuple] = []
     on_stack: set[str] = set()
-    refs = ImportRefs()
+    interned = Interned()
 
     def enter(path_given: str, real: str) -> FederationManifest:
         try:
@@ -491,7 +512,7 @@ def load_workspace(host_path: str) -> tuple[Workspace, list[Diagnostic]]:
         except UnicodeDecodeError as exc:
             raise ToolError("E-SYNTAX", f"{path_given}: not valid UTF-8: {exc}")
         try:
-            manifest, warns = parse_manifest(text, refs, os.path.dirname(path_given))
+            manifest, warns = parse_manifest(text, interned, os.path.dirname(path_given))
         except ToolError as exc:
             raise ToolError(exc.code, f"{path_given}: {exc.message}", exc.path) from exc
         bag.extend([replace(w, path=f"{path_given}:{w.path}") for w in warns])

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 
 from .diagnostics import ToolError
-from .graph import KIND_SHARED, ModuleGraph, longest_path, node_label, reachable_set, topological_order
+from .graph import DYNAMIC, KIND_SHARED, ModuleGraph, longest_path, node_label, reachable_ids, topological_order
 from .shares import ShareResolution, shared_node
 
 MANIFEST_PSEUDO_MODULE = "__manifest__"
@@ -39,6 +39,7 @@ class Trigger:
 # Triggers are frozen values, so every request of every plan shares these two.
 _ROOT_TRIGGER = Trigger("root")
 _MANIFEST_TRIGGER = Trigger("manifest")
+_NO_DEPENDENCIES: frozenset = frozenset()
 
 
 # Slotted, not frozen: a plan builds one request per fetch unit, and a frozen
@@ -92,80 +93,68 @@ def _plan_lazy(g: ModuleGraph, res: ShareResolution) -> LoadPlan:
     # first keys, so the smallest ready unit is the one with the smallest key.
     # The walk meets every importer of a unit before the unit itself, so each
     # unit's in-plan importers and their import modes are known on arrival.
-    order = topological_order(g.unit_succs, [g.unit_of[g.root]])
-    request_id = {u: i for i, u in enumerate(order)}
-    importers: dict[int, list[int]] = {}
-    modes: dict[int, set[str]] = {}
+    order = topological_order(g.unit_succs, [g.unit_of[g.index[g.root]]])
+    key_of, units, unit_succs, unit_modes = g.keys.__getitem__, g.units, g.unit_succs, g.unit_modes
+    request_id = [0] * len(units)
+    importers: list[list[int]] = [[] for _ in units]
+    modes = [0] * len(units)  # OR of the import modes reaching each unit
+    triggers: dict[int, Trigger] = {}  # importer unit -> the parse trigger it sets
     requests = []
-    for u in order:
-        unit_preds = importers.get(u, [])
+    for rid, u in enumerate(order):
+        request_id[u] = rid
+        unit_preds = importers[u]
         if unit_preds:
-            dynamic = modes[u] == {"dynamic"}
-            trigger = Trigger("parse", g.units[min(unit_preds)][0])
+            depends_on = frozenset([request_id[p] for p in unit_preds])
+            first = min(unit_preds)
+            trigger = triggers.get(first)
+            if trigger is None:
+                trigger = triggers[first] = Trigger("parse", key_of(units[first][0]))
+            dynamic = modes[u] == DYNAMIC
         else:
-            dynamic = False
-            trigger = _ROOT_TRIGGER
-        payload = frozenset(g.units[u])
-        requests.append(
-            FetchRequest(
-                id=request_id[u],
-                payload=payload,
-                size_bytes=sum(g.nodes[k].size_bytes for k in payload),
-                depends_on=frozenset(request_id[p] for p in unit_preds),
-                trigger=trigger,
-                dynamic_trigger=dynamic,
-            )
-        )
-        for v, edge_modes in g.unit_succs[u].items():
-            importers.setdefault(v, []).append(u)
-            modes.setdefault(v, set()).update(edge_modes)
+            depends_on, trigger, dynamic = _NO_DEPENDENCIES, _ROOT_TRIGGER, False
+        payload = frozenset(map(key_of, units[u]))
+        requests.append(FetchRequest(rid, payload, g.unit_bytes[u], depends_on, trigger, dynamic))
+        for v, mode in zip(unit_succs[u], unit_modes[u]):
+            importers[v].append(u)
+            modes[v] |= mode
     return LoadPlan(LoadStrategy.LAZY, tuple(requests), res.duplicate_bytes, g.root)
 
 
 def _plan_prefetch(
-    g: ModuleGraph, res: ShareResolution, manifest_bytes: int, required: set
+    g: ModuleGraph, res: ShareResolution, manifest_bytes: int, required: list[int]
 ) -> LoadPlan:
     host = g.root[0]
-    remote_apps = sorted({key[0] for key in g.nodes} - {host})
+    remote_apps = sorted({key[0] for key in g.keys} - {host})
 
     requests = []
-    after_manifest = frozenset()
+    after_manifest = _NO_DEPENDENCIES
     if remote_apps:
         payload = frozenset((app, MANIFEST_PSEUDO_MODULE) for app in remote_apps)
         after_manifest = frozenset({0})
         requests.append(
-            FetchRequest(
-                id=0,
-                payload=payload,
-                size_bytes=manifest_bytes * len(remote_apps),
-                depends_on=frozenset(),
-                trigger=_MANIFEST_TRIGGER,
-            )
+            FetchRequest(0, payload, manifest_bytes * len(remote_apps), _NO_DEPENDENCIES, _MANIFEST_TRIGGER)
         )
     next_id = len(requests)
-    for key in sorted(required):
-        local = key[0] == host
-        requests.append(
-            FetchRequest(
-                id=next_id,
-                payload=frozenset({key}),
-                size_bytes=g.nodes[key].size_bytes,
-                depends_on=frozenset() if local else after_manifest,
-                trigger=_ROOT_TRIGGER if local else _MANIFEST_TRIGGER,
-            )
-        )
+    keys, nodes = g.keys, g.nodes
+    for i in required:  # ascending ids, so in key order
+        key = keys[i]
+        if key[0] == host:
+            depends_on, trigger = _NO_DEPENDENCIES, _ROOT_TRIGGER
+        else:
+            depends_on, trigger = after_manifest, _MANIFEST_TRIGGER
+        requests.append(FetchRequest(next_id, frozenset((key,)), nodes[key].size_bytes, depends_on, trigger))
         next_id += 1
     return LoadPlan(LoadStrategy.PREFETCH, tuple(requests), res.duplicate_bytes, g.root)
 
 
-def _plan_eager(g: ModuleGraph, res: ShareResolution, required: set) -> LoadPlan:
+def _plan_eager(g: ModuleGraph, res: ShareResolution, required: list[tuple[str, str]]) -> LoadPlan:
     """One self-contained bundle per application, each with its private shared copies.
 
     Duplicate bytes are every bundled copy beyond one per package. The copy
     kept is the provider's when the provider is bundled, else the largest.
     """
     host = g.root[0]
-    module_keys = [k for k in sorted(required) if g.nodes[k].kind != KIND_SHARED]
+    module_keys = [k for k in required if g.nodes[k].kind != KIND_SHARED]
     apps = sorted({key[0] for key in module_keys}, key=lambda a: (a != host, a))
 
     requests = []
@@ -204,7 +193,7 @@ def _plan_eager(g: ModuleGraph, res: ShareResolution, required: set) -> LoadPlan
     return LoadPlan(LoadStrategy.EAGER, tuple(requests), duplicate_bytes, g.root)
 
 
-def _plan_ssr(g: ModuleGraph, res: ShareResolution, required: set) -> LoadPlan:
+def _plan_ssr(g: ModuleGraph, res: ShareResolution, required: list[tuple[str, str]]) -> LoadPlan:
     payload = set(required)
     for package, (version, provider) in res.bindings.items():
         payload.add(shared_node(provider, package, version))
@@ -232,34 +221,33 @@ def plan(
     Eager bundles each application self-contained, duplicating shared packages.
     SSR ships everything as a single server-composed payload.
     """
-    required = reachable_set(g, True)
+    required = reachable_ids(g, True)
     if strategy is LoadStrategy.LAZY:
         built = _plan_lazy(g, res)
     elif strategy is LoadStrategy.PREFETCH:
         built = _plan_prefetch(g, res, manifest_bytes, required)
     elif strategy is LoadStrategy.EAGER:
-        built = _plan_eager(g, res, required)
+        return _plan_eager(g, res, [g.keys[i] for i in required])  # bundles are not checked
     else:
-        built = _plan_ssr(g, res, required)
+        built = _plan_ssr(g, res, [g.keys[i] for i in required])
 
-    covered = set()
-    for request in built.requests:
-        covered |= request.payload
-    if strategy in (LoadStrategy.LAZY, LoadStrategy.PREFETCH, LoadStrategy.SSR):
-        missing = required - covered
-        if missing:
-            raise ToolError(
-                "E-UNPLANNABLE",
-                "required nodes missing from plan: "
-                + ", ".join(node_label(k) for k in sorted(missing)),
-            )
+    covered = set().union(*[request.payload for request in built.requests])
+    missing = [g.keys[i] for i in required if g.keys[i] not in covered]
+    if missing:
+        raise ToolError(
+            "E-UNPLANNABLE",
+            "required nodes missing from plan: " + ", ".join(node_label(k) for k in missing),
+        )
     return built
 
 
 def longest_chain(p: LoadPlan) -> int:
-    """Length in requests of the longest dependsOn chain."""
-    succs: dict[int, list[int]] = {}
+    """Length in requests of the longest dependsOn chain; a dependency on an id
+    not in the plan starts no chain."""
+    position = {rid: i for i, rid in enumerate(dict.fromkeys(r.id for r in p.requests))}
+    succs: list[list[int]] = [[] for _ in position]
     for r in p.requests:
         for dep in r.depends_on:
-            succs.setdefault(dep, []).append(r.id)
-    return longest_path(succs, [r.id for r in p.requests])
+            if dep in position:
+                succs[position[dep]].append(position[r.id])
+    return longest_path(succs, range(len(succs)))

@@ -22,14 +22,17 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import astuple, dataclass
+from operator import attrgetter
 
 from .diagnostics import ToolError
 from .graph import ModuleGraph, node_label
-from .planner import DEFAULT_MANIFEST_BYTES, LoadPlan, LoadStrategy, plan, required_bytes
+from .planner import DEFAULT_MANIFEST_BYTES, LoadPlan, LoadStrategy, plan
 from .shares import ShareResolution
 
 # Events this close (ms, or bytes of virtual time) count as one instant.
 _EPS = 1e-9
+
+_request_id = attrgetter("id")
 
 ALL_STRATEGIES = (
     LoadStrategy.LAZY,
@@ -160,14 +163,18 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
     transfer and hydration-weighted parsing after it. Two requests with one
     id are E-DUP-REQUEST.
     """
-    size = {r.id: r.size_bytes for r in p.requests}  # also the index of request ids
-    if len(size) != len(p.requests):
+    # Per-request state lives in lists indexed by position in id order, so a
+    # tie broken by position is broken by request id.
+    requests = sorted(p.requests, key=_request_id)
+    position = {r.id: i for i, r in enumerate(requests)}
+    if len(position) != len(requests):
         seen: set[int] = set()
         for r in p.requests:
             if r.id in seen:
                 raise ToolError("E-DUP-REQUEST", f"request id {r.id} appears more than once in the plan")
             seen.add(r.id)
-    if not size:
+    n = len(requests)
+    if not n:
         return SimReport(p.strategy, 0.0, 0.0, 0, 0, 0, 0, ())
     root_request = next((r.id for r in p.requests if p.root_key in r.payload), None)
     if root_request is None:
@@ -180,30 +187,34 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
     push, pop = heapq.heappush, heapq.heappop
     eps, inf, isfinite = _EPS, math.inf, math.isfinite
 
-    parse_ms = {rid: b / 1000.0 * net.parse_ms_per_kb * parse_factor for rid, b in size.items()}
-    delay = {r.id: net.interaction_delay_ms if r.dynamic_trigger else 0.0 for r in p.requests}
-    children: dict[int, list[int]] = {rid: [] for rid in size}
-    blocked_on: dict[int, int] = {}
+    size = [r.size_bytes for r in requests]
+    parse_ms = [b / 1000.0 * net.parse_ms_per_kb * parse_factor for b in size]
+    interaction = net.interaction_delay_ms
+    delay = [interaction if r.dynamic_trigger else 0.0 for r in requests]
+    children: list[list[int]] = [[] for _ in requests]
+    blocked_on = [len(r.depends_on) for r in requests]
     for r in p.requests:
-        blocked_on[r.id] = len(r.depends_on)
+        i = position[r.id]
         for dep in r.depends_on:
-            if dep not in size:
+            j = position.get(dep)
+            if j is None:
                 raise ToolError("E-DEADLOCK", f"request {r.id} depends on unknown request {dep}")
-            children[dep].append(r.id)
+            children[j].append(i)
     # Requests on the longest dependsOn chain ending at each request, final
     # once the request's last dependency has parsed.
-    depth = dict.fromkeys(size, 1)
+    depth = [1] * n
 
-    ready = [(delay[rid], rid) for rid, count in blocked_on.items() if count == 0]
+    ready = [(delay[i], i) for i, count in enumerate(blocked_on) if count == 0]
     heapq.heapify(ready)
     latency: list[tuple[float, int]] = []  # headers arrive, transfer starts
     flows: list[tuple[float, int]] = []  # virtual finish tag v0 + size
     parsing: list[tuple[float, int]] = []  # parse completes
 
-    start_at: dict[int, float] = {}
-    headers_at: dict[int, float] = {}
-    done_at: dict[int, float] = {}
-    parse_done_at: dict[int, float] = {}
+    start_at = [0.0] * n
+    headers_at = [0.0] * n
+    done_at = [0.0] * n
+    parse_done_at = [0.0] * n
+    parsed = 0
 
     in_flight = 0
     max_in_flight = 0
@@ -218,20 +229,21 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
         while progressed:
             progressed = False
             while flows and flows[0][0] <= v_eps:
-                rid = pop(flows)[1]
-                done_at[rid] = t
-                push(parsing, (t + parse_ms[rid], rid))
+                i = pop(flows)[1]
+                done_at[i] = t
+                push(parsing, (t + parse_ms[i], i))
                 in_flight -= 1
                 progressed = True
             while latency and latency[0][0] <= t_eps:
-                rid = pop(latency)[1]
-                push(flows, (v + size[rid], rid))
+                i = pop(latency)[1]
+                push(flows, (v + size[i], i))
                 progressed = True
             while parsing and parsing[0][0] <= t_eps:
-                rid = pop(parsing)[1]
-                parse_done_at[rid] = t
-                child_depth = depth[rid] + 1
-                for child in children[rid]:
+                i = pop(parsing)[1]
+                parse_done_at[i] = t
+                parsed += 1
+                child_depth = depth[i] + 1
+                for child in children[i]:
                     if depth[child] < child_depth:
                         depth[child] = child_depth
                     blocked_on[child] -= 1
@@ -239,16 +251,16 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
                         push(ready, (t + delay[child], child))
                 progressed = True
             while in_flight < max_concurrent and ready and ready[0][0] <= t_eps:
-                rid = pop(ready)[1]
-                start_at[rid] = t
-                headers_at[rid] = headers = t + rtt + compose
-                push(latency, (headers, rid))
+                i = pop(ready)[1]
+                start_at[i] = t
+                headers_at[i] = headers = t + rtt + compose
+                push(latency, (headers, i))
                 in_flight += 1
                 if in_flight > max_in_flight:
                     max_in_flight = in_flight
                 progressed = True
 
-        if len(parse_done_at) == len(size):
+        if parsed == n:
             break
         if not (latency or flows or parsing or ready):
             raise ToolError("E-DEADLOCK", "no runnable request; dependsOn cycle in plan")
@@ -256,7 +268,8 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
         # Jump to the next event. When it is a flow finish, v lands on that
         # flow's tag exactly, so every pass retires at least one event. A
         # waiting ready request holds an event only while a slot is free;
-        # otherwise a transfer or header arrival is pending.
+        # otherwise a transfer or header arrival is pending. A fair share that
+        # underflows to zero never finishes its head flow.
         t_next = latency[0][0] if latency else inf
         if parsing and parsing[0][0] < t_next:
             t_next = parsing[0][0]
@@ -264,7 +277,7 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
             t_next = ready[0][0]
         if flows:
             rate = bandwidth / len(flows)
-            t_flow = t + (flows[0][0] - v) / rate
+            t_flow = t + (flows[0][0] - v) / rate if rate else inf
             if t_flow <= t_next:
                 t_next, v = t_flow, flows[0][0]
             else:
@@ -273,25 +286,19 @@ def simulate(p: LoadPlan, net: NetworkModel) -> SimReport:
             raise ToolError("E-BAD-NET", "simulated time overflows; network parameters are too extreme")
         t = t_next
 
+    # A stable sort on start time keeps id order among equal starts.
     timeline = tuple(
-        TimelineEntry(
-            rid,
-            start_at[rid],
-            headers_at[rid],
-            done_at[rid],
-            parse_done_at[rid],
-            size[rid],
-        )
-        for rid in sorted(size, key=lambda rid: (start_at[rid], rid))
+        TimelineEntry(requests[i].id, start_at[i], headers_at[i], done_at[i], parse_done_at[i], size[i])
+        for i in sorted(range(n), key=start_at.__getitem__)
     )
     return SimReport(
         strategy=p.strategy,
-        time_to_first_render_ms=parse_done_at[root_request],
-        time_to_interactive_ms=max(parse_done_at.values()),
-        total_bytes=required_bytes(p),
-        request_count=len(size),
+        time_to_first_render_ms=parse_done_at[position[root_request]],
+        time_to_interactive_ms=max(parse_done_at),
+        total_bytes=sum(size),
+        request_count=n,
         max_observed_concurrency=max_in_flight,
-        waterfall_rounds=max(depth.values()),
+        waterfall_rounds=max(depth),
         timeline=timeline,
     )
 

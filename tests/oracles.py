@@ -327,3 +327,153 @@ def exact_simulate(load_plan, net) -> dict:
         t = t_next
 
     return {rid: tuple(entry) for rid, entry in times.items()}
+
+
+# --- the dict-based module graph routines, kept as references -----------------
+# These are the routines `fedplan.graph` and `fedplan.planner` used before the
+# graph moved to dense integer ids. They read only a graph's public `nodes`,
+# `edges` and `root`, over dicts keyed by (application, module id) tuples.
+
+
+def reference_tarjan_sccs(g) -> list[tuple]:
+    """Strongly connected components as sorted key tuples (iterative Tarjan)."""
+    adjacency: dict = {key: [] for key in g.nodes}
+    for edge in g.edges:
+        adjacency[edge.src].append(edge)
+    index: dict = {}
+    low: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    sccs = []
+    for start in sorted(g.nodes):
+        if start in index:
+            continue
+        index[start] = low[start] = len(index)
+        stack.append(start)
+        on_stack.add(start)
+        work = [(start, iter(adjacency[start]))]  # (node, its unvisited edges)
+        while work:
+            node, edges = work[-1]
+            for edge in edges:
+                succ = edge.dst
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(adjacency[succ])))
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    scc = []
+                    while not scc or scc[-1] != node:
+                        scc.append(stack.pop())
+                        on_stack.discard(scc[-1])
+                    sccs.append(tuple(sorted(scc)))
+    return sccs
+
+
+def reference_fetch_units(g):
+    """(units, unit_succs, unit_of): sorted key tuples, {unit: {successor unit: modes}},
+    {key: unit}. Raises E-XAPP-CYCLE when a cycle spans applications."""
+    from fedplan.diagnostics import ToolError
+    from fedplan.graph import node_label
+
+    units = sorted(reference_tarjan_sccs(g))
+    for unit in units:
+        if len({key[0] for key in unit}) > 1:
+            raise ToolError(
+                "E-XAPP-CYCLE",
+                "cycle spans applications: " + ", ".join(node_label(k) for k in unit),
+            )
+    unit_of = {key: i for i, unit in enumerate(units) for key in unit}
+    unit_succs: dict = {i: {} for i in range(len(units))}
+    for edge in g.edges:
+        a, b = unit_of[edge.src], unit_of[edge.dst]
+        if a != b:
+            unit_succs[a].setdefault(b, set()).add(edge.mode)
+    return units, unit_succs, unit_of
+
+
+def reference_topological_order(succs: dict, starts) -> list:
+    """Kahn's algorithm over the nodes reachable from `starts`, smallest ready node first."""
+    import heapq
+
+    from fedplan.diagnostics import ToolError
+
+    pending = dict.fromkeys(starts, 0)
+    frontier = list(pending)
+    while frontier:
+        for v in succs.get(frontier.pop(), ()):
+            if v not in pending:
+                pending[v] = 0
+                frontier.append(v)
+    for u in pending:
+        for v in succs.get(u, ()):
+            pending[v] += 1
+    ready = [u for u, count in pending.items() if count == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for v in succs.get(u, ()):
+            pending[v] -= 1
+            if pending[v] == 0:
+                heapq.heappush(ready, v)
+    if len(order) != len(pending):
+        raise ToolError("E-CYCLIC", "dependency graph has a cycle")
+    return order
+
+
+def reference_longest_path(succs: dict, starts: list) -> int:
+    depth = dict.fromkeys(starts, 1)
+    for u in reference_topological_order(succs, starts):
+        for v in succs.get(u, ()):
+            depth[v] = max(depth.get(v, 0), depth[u] + 1)
+    return max(depth.values(), default=0)
+
+
+def reference_waterfall_depth(g) -> int:
+    _, unit_succs, unit_of = reference_fetch_units(g)
+    return reference_longest_path(unit_succs, [unit_of[g.root]] if g.nodes else [])
+
+
+def reference_plan_lazy(g, res):
+    """The lazy plan: one request per fetch unit reachable from the root, in Kahn order."""
+    from fedplan.planner import FetchRequest, LoadPlan, LoadStrategy, Trigger
+
+    units, unit_succs, unit_of = reference_fetch_units(g)
+    order = reference_topological_order(unit_succs, [unit_of[g.root]])
+    request_id = {u: i for i, u in enumerate(order)}
+    importers: dict = {}
+    modes: dict = {}
+    requests = []
+    for u in order:
+        unit_preds = importers.get(u, [])
+        if unit_preds:
+            dynamic = modes[u] == {"dynamic"}
+            trigger = Trigger("parse", units[min(unit_preds)][0])
+        else:
+            dynamic = False
+            trigger = Trigger("root")
+        payload = frozenset(units[u])
+        requests.append(
+            FetchRequest(
+                id=request_id[u],
+                payload=payload,
+                size_bytes=sum(g.nodes[k].size_bytes for k in payload),
+                depends_on=frozenset(request_id[p] for p in unit_preds),
+                trigger=trigger,
+                dynamic_trigger=dynamic,
+            )
+        )
+        for v, edge_modes in unit_succs[u].items():
+            importers.setdefault(v, []).append(u)
+            modes.setdefault(v, set()).update(edge_modes)
+    return LoadPlan(LoadStrategy.LAZY, tuple(requests), res.duplicate_bytes, g.root)

@@ -200,6 +200,28 @@ def test_overflowing_simulated_time_is_usage_error(capsys, tmp_path, doc):
     assert "E-BAD-NET" in err
 
 
+def test_zero_fair_share_is_usage_error(capsys, tmp_path):
+    # Two eager bundles split the smallest positive bandwidth into 0.0 each,
+    # which used to raise ZeroDivisionError in the simulator.
+    net = tmp_path / "net.json"
+    net.write_text('{"rttMs": 1, "bandwidthBytesPerMs": 5e-324, "maxConcurrent": 6}')
+    with deadline(10):
+        code, out, err = invoke(
+            capsys,
+            "simulate",
+            "fixtures/fig1_shared/host/federation.json",
+            "--strategy",
+            "eager",
+            "--net",
+            str(net),
+            "--format",
+            "json",
+        )
+    assert code == 2
+    assert out == ""
+    assert "E-BAD-NET" in err and "Traceback" not in err
+
+
 def test_non_utf8_manifest_is_syntax_error(capsys, tmp_path):
     host = tmp_path / "federation.json"
     host.write_bytes(b'{"name": "h\xff"}')

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedplan.diagnostics import ToolError
 from fedplan.graph import (
+    DYNAMIC,
+    STATIC,
     Edge,
     KIND_SHARED,
     ModuleGraph,
@@ -14,13 +19,24 @@ from fedplan.graph import (
     detect_cycles,
     export_dot,
     reachable_set,
+    topological_order,
     waterfall_depth,
 )
 from fedplan.manifest import load_workspace
+from fedplan.planner import LoadStrategy, longest_chain, plan
 from fedplan.shares import build_share_scope, empty_resolution, resolve_shares
 
 from conftest import FIXTURES, app, module, shared_spec, workspace
-from oracles import bfs_reachable, brute_sccs, dfs_longest_path
+from oracles import (
+    bfs_reachable,
+    brute_sccs,
+    dfs_longest_path,
+    reference_fetch_units,
+    reference_longest_path,
+    reference_plan_lazy,
+    reference_topological_order,
+    reference_waterfall_depth,
+)
 
 
 def fig1_workspace():
@@ -338,3 +354,81 @@ def test_shared_nodes_render_as_boxes():
     g, _ = build_graph(w, res)
     dot = export_dot(g)
     assert '"host/react@18.2.0" [shape=box];' in dot
+
+
+@st.composite
+def module_graphs(draw):
+    """(nodes, edges, root) over 1-3 applications. Edges may form intra-application
+    cycles and self-loops, pair a static with a dynamic edge between the same two
+    nodes, and leave nodes unreachable. Unless `forward` holds, they may also close
+    a cycle across applications."""
+    apps = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    keys = [(name, f"m{i}") for name in apps for i in range(draw(st.integers(1, 5)))]
+    forward = draw(st.booleans())  # edges between applications go from a lower to a higher one
+    edge = st.tuples(st.sampled_from(keys), st.sampled_from(keys), st.sampled_from(["static", "dynamic"]))
+    edges = {
+        (src, dst, mode)
+        for src, dst, mode in draw(st.lists(edge, max_size=3 * len(keys)))
+        if not forward or src[0] <= dst[0]
+    }
+    for src, dst, mode in draw(st.lists(st.sampled_from(sorted(edges)), max_size=3)) if edges else ():
+        edges.add((src, dst, "static" if mode == "dynamic" else "dynamic"))
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2)):
+        edges.add((key, key, "static"))
+    sizes = draw(st.lists(st.integers(0, 10_000), min_size=len(keys), max_size=len(keys)))
+    nodes = {key: ModuleNode(key, size, "internal") for key, size in zip(keys, sizes)}
+    edge_order = draw(st.permutations(sorted(edges)))
+    return nodes, tuple(Edge(*e) for e in edge_order), draw(st.sampled_from(keys))
+
+
+_MODE_BITS = {STATIC: {"static"}, DYNAMIC: {"dynamic"}, STATIC | DYNAMIC: {"static", "dynamic"}}
+
+
+@settings(max_examples=400, deadline=None)
+@given(module_graphs())
+def test_dense_id_graph_matches_the_dict_based_reference(graph):
+    nodes, edges, root = graph
+    public = SimpleNamespace(nodes=nodes, edges=edges, root=root)
+    try:
+        ref_units, ref_succs, ref_unit_of = reference_fetch_units(public)
+    except ToolError as exc:
+        with pytest.raises(ToolError) as err:
+            ModuleGraph(nodes, edges, root)
+        assert (err.value.code, err.value.message) == (exc.code, exc.message)
+        assert exc.code == "E-XAPP-CYCLE"
+        return
+    g = ModuleGraph(nodes, edges, root)
+
+    assert [tuple(g.keys[i] for i in unit) for unit in g.units] == ref_units
+    assert {g.keys[i]: u for i, u in enumerate(g.unit_of)} == ref_unit_of
+    assert [
+        {v: _MODE_BITS[mode] for v, mode in zip(g.unit_succs[u], g.unit_modes[u])} for u in range(len(g.units))
+    ] == [ref_succs[u] for u in range(len(ref_units))]
+    assert g.unit_bytes == [sum(nodes[k].size_bytes for k in unit) for unit in ref_units]
+    for include_dynamic in (False, True):
+        assert reachable_set(g, include_dynamic) == bfs_reachable(
+            [(e.src, e.dst, e.mode) for e in edges], root, include_dynamic
+        )
+    assert waterfall_depth(g) == reference_waterfall_depth(public)
+
+    root_unit = g.unit_of[g.index[root]]
+    assert topological_order(g.unit_succs, [root_unit]) == reference_topological_order(ref_succs, [root_unit])
+    # Over the nodes themselves, cycles included: the same order, or E-CYCLIC from both.
+    node_succs = {i: succs for i, succs in enumerate(g.succs)}
+    try:
+        expected = reference_topological_order(node_succs, [g.index[root]])
+    except ToolError as exc:
+        with pytest.raises(ToolError) as err:
+            topological_order(g.succs, [g.index[root]])
+        assert (err.value.code, err.value.message) == (exc.code, exc.message)
+    else:
+        assert topological_order(g.succs, [g.index[root]]) == expected
+
+    lazy, expected_lazy = plan(g, empty_resolution(), LoadStrategy.LAZY), reference_plan_lazy(public, empty_resolution())
+    assert lazy == expected_lazy
+    assert lazy.to_json() == expected_lazy.to_json()
+    chain_succs: dict = {}
+    for r in lazy.requests:
+        for dep in r.depends_on:
+            chain_succs.setdefault(dep, []).append(r.id)
+    assert longest_chain(lazy) == reference_longest_path(chain_succs, [r.id for r in lazy.requests])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fedplan import manifest as manifest_module
 from fedplan.diagnostics import DiagnosticBag, ToolError
 from fedplan.manifest import (
-    ImportRefs,
+    Interned,
     LocalImport,
     ModuleDecl,
     RemoteImport,
@@ -615,7 +615,7 @@ def _decoded(text: str):
 
 def _walked(doc: dict):
     index = manifest_module._Index({}, {}, DiagnosticBag())
-    walk, decoding = manifest_module._walk, manifest_module._Decoding(ImportRefs(), DiagnosticBag(), index)
+    walk, decoding = manifest_module._walk, manifest_module._Decoding(Interned(), DiagnosticBag(), index)
     try:
         modules = tuple(
             ModuleDecl(*walk(obj, manifest_module._MODULE, f".modules[{i}]", decoding))
