@@ -26,6 +26,7 @@ import heapq
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, DiagnosticBag, ToolError
 from .manifest import LocalImport, RemoteImport, Workspace
@@ -37,15 +38,15 @@ KIND_INTERNAL = "internal"
 KIND_SHARED = "sharedPkg"
 
 
-@dataclass(frozen=True)
-class ModuleNode:
+# Named tuples, so that build_graph's edge set hashes and compares them in C.
+# An edge's natural order, (src, dst, mode), is the order of `edges`.
+class ModuleNode(NamedTuple):
     key: tuple[str, str]
     size_bytes: int
     kind: str
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: tuple[str, str]
     dst: tuple[str, str]
     mode: str  # static | dynamic
@@ -87,10 +88,10 @@ class ModuleGraph:
         index = {key: i for i, key in enumerate(keys)}
         succs: list[list[int]] = [[] for _ in keys]
         modes: list[list[int]] = [[] for _ in keys]
-        for edge in self.edges:
-            i = index[edge.src]
-            succs[i].append(index[edge.dst])
-            modes[i].append(DYNAMIC if edge.mode == "dynamic" else STATIC)
+        for src, dst, mode in self.edges:
+            i = index[src]
+            succs[i].append(index[dst])
+            modes[i].append(DYNAMIC if mode == "dynamic" else STATIC)
         for name, value in (("keys", keys), ("index", index), ("succs", succs), ("modes", modes)):
             object.__setattr__(self, name, value)
         names = ("units", "unit_succs", "unit_of", "unit_modes", "unit_bytes")
@@ -184,7 +185,7 @@ def build_graph(w: Workspace, res: ShareResolution) -> tuple[ModuleGraph, list[D
     root = (w.host.name, w.host.entry)
     if root not in nodes:
         raise ToolError("E-DANGLING-LOCAL", f"host entry {w.host.entry!r} is not a declared module")
-    graph = ModuleGraph(nodes, tuple(sorted(edges, key=lambda e: (e.src, e.dst, e.mode))), root)
+    graph = ModuleGraph(nodes, tuple(sorted(edges)), root)
     return graph, bag.items
 
 
@@ -382,7 +383,7 @@ def export_dot(g: ModuleGraph) -> str:
         if node.kind == KIND_ENTRY:
             attrs.append("style=bold")
         lines.append(f'  "{node_label(key)}" [{", ".join(attrs)}];')
-    for edge in sorted(g.edges, key=lambda e: (e.src, e.dst, e.mode)):
+    for edge in sorted(g.edges):
         suffix = " [style=dashed]" if edge.mode == "dynamic" else ""
         lines.append(f'  "{node_label(edge.src)}" -> "{node_label(edge.dst)}"{suffix};')
     lines.append("}")
@@ -403,6 +404,6 @@ def graph_to_json(g: ModuleGraph) -> dict:
         ],
         "edges": [
             {"from": node_label(e.src), "to": node_label(e.dst), "mode": e.mode}
-            for e in sorted(g.edges, key=lambda e: (e.src, e.dst, e.mode))
+            for e in sorted(g.edges)
         ],
     }

@@ -3,13 +3,24 @@
 One TraceLog per run, one root span, deterministic counter-based span ids,
 and a self-contained JSON-lines export (one span per line) that stays
 convertible to richer tracing backends without depending on any.
+
+A log made by `from_sim` is a projection of the simulation timeline. It
+holds the timeline as columns and builds its `Span` objects on the first
+read of anything that needs them: `spans`, `span()`, `record()`,
+`validate_trace`, equality or repr. Until then, `export_jsonl` writes its
+lines straight from the columns, so a what-if query that only exports its
+trace never makes a `Span`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from math import copysign, inf
+from operator import attrgetter, le
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, DiagnosticBag, ToolError
 from .simulator import SimReport
@@ -48,9 +59,22 @@ class TraceLog:
     # Span id -> span, so that record() finds a parent in O(1) however deep
     # the nesting. The first span wins on a duplicate id, as a scan would.
     _by_id: dict[str, Span] = field(init=False, repr=False, compare=False)
+    # Not a field. A log from from_sim holds its _Projection here, and no
+    # `spans` or `_by_id`, until the first read of either builds them.
+    _projection = None
 
     def __post_init__(self) -> None:
         self._by_id = {s.span_id: s for s in reversed(self.spans)}
+
+    def __getattr__(self, name: str):
+        # Called only for an attribute the instance does not hold.
+        projection = self._projection
+        if projection is None or name not in ("spans", "_by_id"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._projection = None
+        self.spans = projection.spans()
+        self.__post_init__()
+        return getattr(self, name)
 
     def record(
         self,
@@ -60,14 +84,17 @@ class TraceLog:
         end_ms: float,
         attributes: dict | None = None,
     ) -> str:
-        """Append one span; enforces interval validity and parent containment."""
-        if end_ms < start_ms:
+        """Append one span; enforces interval validity and parent containment.
+
+        Both checks are written so that a NaN bound fails them.
+        """
+        if not start_ms <= end_ms:
             raise ToolError("E-BAD-INTERVAL", f"span {name!r} ends before it starts")
         if parent_span_id is not None:
             parent = self._by_id.get(parent_span_id)
             if parent is None:
                 raise ToolError("E-NO-PARENT", f"unknown parent span {parent_span_id!r}")
-            if start_ms < parent.start_ms or end_ms > parent.end_ms:
+            if not (parent.start_ms <= start_ms and end_ms <= parent.end_ms):
                 raise ToolError(
                     "E-BAD-INTERVAL",
                     f"span {name!r} [{start_ms}, {end_ms}] escapes parent "
@@ -84,14 +111,86 @@ class TraceLog:
         return self._by_id.get(span_id)
 
 
+_ENTRY_COLUMNS = attrgetter("request_id", "start_ms", "done_ms", "parse_done_ms", "size_bytes")
+
+
+class _Projection(NamedTuple):
+    """A simulation timeline as columns, one row per entry, in timeline order."""
+
+    trace_id: str
+    tti: float
+    attributes: dict  # the root span's
+    ids: tuple
+    starts: tuple
+    dones: tuple
+    parse_dones: tuple
+    sizes: tuple
+
+    def root(self) -> Span:
+        return Span(self.trace_id, "s1", None, "load", 0.0, self.tti, self.attributes)
+
+    def spans(self) -> list[Span]:
+        """The root, then a fetch span and a parse span per entry: s1 ... s{2n+1}."""
+        n = len(self.ids)
+        trace_id = self.trace_id
+        fetches = map(
+            Span, repeat(trace_id), map("s{}".format, range(2, 2 * n + 2, 2)), repeat("s1"),
+            repeat("fetch.request"), self.starts, self.dones,
+            [{"requestId": rid, "bytes": size} for rid, size in zip(self.ids, self.sizes)],
+        )
+        parses = map(
+            Span, repeat(trace_id), map("s{}".format, range(3, 2 * n + 3, 2)), repeat("s1"),
+            repeat("parse.module"), self.dones, self.parse_dones, [{"requestId": rid} for rid in self.ids],
+        )
+        return [self.root(), *chain.from_iterable(zip(fetches, parses))]
+
+    def export(self) -> str | None:
+        """The JSON lines of `spans()`, or None when a row holds a value the
+        row template would not write as json.dumps does.
+
+        The root line goes through the generic encoder. Each entry's fetch
+        and parse lines come from one %-template: ids and sizes must be exact
+        ints and times exact floats, finite and not -0.0. from_sim's check put
+        every time in [0.0, TTI] with NaN excluded, so the times are finite
+        if the largest parse end is, and -0.0 is their only possible negative
+        sign. Each distinct time is formatted once.
+        """
+        ids, starts, dones, parse_dones, sizes = self.ids, self.starts, self.dones, self.parse_dones, self.sizes
+        times = (*starts, *dones, *parse_dones)
+        if (
+            not {*map(type, ids), *map(type, sizes)} <= {int}
+            or not set(map(type, times)) <= {float}
+            or max(parse_dones, default=0.0) == inf
+            or min(map(copysign, repeat(1.0), times), default=1.0) < 0.0
+        ):
+            return None
+        distinct = set(times)
+        text = dict(zip(distinct, map(float.__repr__, distinct))).__getitem__
+        trace_id = encode_basestring_ascii(self.trace_id).replace("%", "%%")
+        row = (
+            f'{{"traceId": {trace_id}, "spanId": "s%d", "parentSpanId": "s1", "name": "fetch.request", '
+            '"startMs": %s, "endMs": %s, "attributes": {"requestId": %d, "bytes": %d}}\n'
+            f'{{"traceId": {trace_id}, "spanId": "s%d", "parentSpanId": "s1", "name": "parse.module", '
+            '"startMs": %s, "endMs": %s, "attributes": {"requestId": %d}}\n'
+        )
+        n = len(ids)
+        rows = zip(
+            range(2, 2 * n + 2, 2), map(text, starts), map(text, dones), ids, sizes,
+            range(3, 2 * n + 3, 2), map(text, dones), map(text, parse_dones), ids,
+        )
+        return _encode_spans([self.root()]) + "".join(map(row.__mod__, rows))
+
+
 def from_sim(report: SimReport) -> TraceLog:
     """Project a simulation timeline into spans: root, one fetch and one parse per request.
 
     The root is s1, and the k-th timeline entry's fetch and parse spans are
-    s{2k} and s{2k+1}, the ids record() would give. They are built in one
-    loop rather than by 2n record() calls. One chain check per entry,
+    s{2k} and s{2k+1}, the ids record() would give. The log holds the
+    timeline as columns and builds the spans when first read (see the module
+    docstring). The checks run here: one chain per entry,
     0 <= start <= done <= parse done <= TTI, stands for the containment
-    record() enforces on both spans; unlike record()'s, it also fails on NaN.
+    record() enforces on both spans, and like record()'s it fails on NaN.
+    Times must be numbers; other values raise TypeError, not E-BAD-INTERVAL.
     """
     trace_id = f"sim-{report.strategy.value}"
     tti = report.time_to_interactive_ms
@@ -102,26 +201,34 @@ def from_sim(report: SimReport) -> TraceLog:
         "requests": report.request_count,
         "totalBytes": report.total_bytes,
     }
-    spans = [Span(trace_id, "s1", None, "load", 0.0, tti, attributes)]
-    n = 1
-    for entry in report.timeline:
-        start, done, parse_done = entry.start_ms, entry.done_ms, entry.parse_done_ms
-        if not 0.0 <= start <= done <= parse_done <= tti:
-            raise ToolError(
-                "E-BAD-INTERVAL",
-                f"request {entry.request_id} times [{start}, {done}, {parse_done}] are not "
-                f"ordered within the load [0.0, {tti}]",
-            )
-        rid = entry.request_id
-        fetch = {"requestId": rid, "bytes": entry.size_bytes}
-        spans.append(Span(trace_id, f"s{n + 1}", "s1", "fetch.request", start, done, fetch))
-        spans.append(Span(trace_id, f"s{n + 2}", "s1", "parse.module", done, parse_done, {"requestId": rid}))
-        n += 2
-    return TraceLog(trace_id, spans, n)
+    ids, starts, dones, parse_dones, sizes = tuple(zip(*map(_ENTRY_COLUMNS, report.timeline))) or ((),) * 5
+    # Column-wise at C speed; the first bad entry is looked up only on failure.
+    if not (
+        all(map(le, repeat(0.0), starts))
+        and all(map(le, starts, dones))
+        and all(map(le, dones, parse_dones))
+        and all(map(le, parse_dones, repeat(tti)))
+    ):
+        for rid, start, done, parse_done in zip(ids, starts, dones, parse_dones):
+            if not 0.0 <= start <= done <= parse_done <= tti:
+                raise ToolError(
+                    "E-BAD-INTERVAL",
+                    f"request {rid} times [{start}, {done}, {parse_done}] are not "
+                    f"ordered within the load [0.0, {tti}]",
+                )
+    # No __init__: the log holds neither `spans` nor `_by_id` until first read.
+    log = TraceLog.__new__(TraceLog)
+    log.trace_id = trace_id
+    log._counter = 1 + 2 * len(ids)
+    log._projection = _Projection(trace_id, tti, attributes, ids, starts, dones, parse_dones, sizes)
+    return log
 
 
 def validate_trace(log: TraceLog) -> list[Diagnostic]:
-    """Check TraceLog invariants; empty list iff well-formed."""
+    """Check TraceLog invariants; empty list iff well-formed.
+
+    The interval checks are written so that a NaN bound fails them.
+    """
     bag = DiagnosticBag()
     by_id: dict[str, Span] = {}
     roots = []
@@ -131,7 +238,7 @@ def validate_trace(log: TraceLog) -> list[Diagnostic]:
         by_id[s.span_id] = s
         if s.parent_span_id is None:
             roots.append(s.span_id)
-        if s.end_ms < s.start_ms:
+        if not s.start_ms <= s.end_ms:
             bag.error("E-BAD-INTERVAL", s.span_id, "span ends before it starts")
     if not roots:
         bag.error("E-NO-ROOT", "", "trace has no root span")
@@ -143,7 +250,7 @@ def validate_trace(log: TraceLog) -> list[Diagnostic]:
         parent = by_id.get(s.parent_span_id)
         if parent is None:
             bag.error("E-NO-PARENT", s.span_id, f"parent {s.parent_span_id!r} not in trace")
-        elif s.start_ms < parent.start_ms or s.end_ms > parent.end_ms:
+        elif not (parent.start_ms <= s.start_ms and s.end_ms <= parent.end_ms):
             bag.error("E-BAD-INTERVAL", s.span_id, "span escapes its parent's interval")
     return bag.items
 
@@ -153,9 +260,21 @@ def export_jsonl(log: TraceLog) -> str:
 
     Each line is byte-identical to `json.dumps(span.to_json())` for any span,
     with json.dumps's defaults (ASCII escapes, ", " and ": " separators, NaN
-    and Infinity as bare words). Strings, finite floats, ints and None are
-    written directly, and an attributes dict with `str` keys field by field,
-    which saves a json.dumps call, and the encoder it builds, per span.
+    and Infinity as bare words). A log from from_sim whose spans were never
+    read is written from its timeline columns when their values allow it
+    (see `_Projection.export`); every other log goes through `_encode_spans`.
+    """
+    projection = log._projection
+    text = None if projection is None else projection.export()
+    return _encode_spans(log.spans) if text is None else text
+
+
+def _encode_spans(spans: list[Span]) -> str:
+    """The generic encoder of export_jsonl.
+
+    Strings, finite floats, ints and None are written directly, and an
+    attributes dict with `str` keys field by field, which saves a json.dumps
+    call, and the encoder it builds, per span.
 
     Each distinct value is encoded once per call. Two memos, local to the
     call and dropped when it returns, hold the text of every `str` and of
@@ -188,7 +307,7 @@ def export_jsonl(log: TraceLog) -> str:
         return json.dumps(v)
 
     lines = []
-    for s in log.spans:
+    for s in spans:
         trace_id = s.trace_id
         trace_id = (type(trace_id) is str and strings.get(trace_id)) or encode(trace_id)
         span_id = s.span_id

@@ -477,3 +477,38 @@ def reference_plan_lazy(g, res):
             importers.setdefault(v, []).append(u)
             modes.setdefault(v, set()).update(edge_modes)
     return LoadPlan(LoadStrategy.LAZY, tuple(requests), res.duplicate_bytes, g.root)
+
+
+def reference_from_sim(report) -> list:
+    """The spans of a simulation timeline, built eagerly entry by entry: the
+    root s1, then per entry a fetch span and a parse span, each entry checked
+    as 0 <= start <= done <= parse done <= TTI. Raises the ToolError that
+    `fedplan.trace.from_sim` must raise."""
+    from fedplan.diagnostics import ToolError
+    from fedplan.trace import Span
+
+    trace_id = f"sim-{report.strategy.value}"
+    tti = report.time_to_interactive_ms
+    if tti < 0.0:
+        raise ToolError("E-BAD-INTERVAL", "span 'load' ends before it starts")
+    attributes = {
+        "strategy": report.strategy.value,
+        "requests": report.request_count,
+        "totalBytes": report.total_bytes,
+    }
+    spans = [Span(trace_id, "s1", None, "load", 0.0, tti, attributes)]
+    n = 1
+    for entry in report.timeline:
+        start, done, parse_done = entry.start_ms, entry.done_ms, entry.parse_done_ms
+        if not 0.0 <= start <= done <= parse_done <= tti:
+            raise ToolError(
+                "E-BAD-INTERVAL",
+                f"request {entry.request_id} times [{start}, {done}, {parse_done}] are not "
+                f"ordered within the load [0.0, {tti}]",
+            )
+        rid = entry.request_id
+        fetch = {"requestId": rid, "bytes": entry.size_bytes}
+        spans.append(Span(trace_id, f"s{n + 1}", "s1", "fetch.request", start, done, fetch))
+        spans.append(Span(trace_id, f"s{n + 2}", "s1", "parse.module", done, parse_done, {"requestId": rid}))
+        n += 2
+    return spans

@@ -1,4 +1,4 @@
-"""The package is pure standard library: every import is fedplan's own or the stdlib's."""
+"""The package is pure standard library, and its sources parse as Python 3.10."""
 
 from __future__ import annotations
 
@@ -30,3 +30,11 @@ def test_every_import_is_fedplan_or_stdlib():
         if name != "fedplan" and name not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def test_every_source_parses_with_the_python_3_10_grammar():
+    # requires-python is >=3.10; ast.parse with feature_version rejects later
+    # syntax (except*, PEP 695 type parameters, ...) on a newer interpreter.
+    assert SOURCES
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

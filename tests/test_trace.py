@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import enum
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from fedplan.simulator import NetworkModel, SimReport, TimelineEntry, simulate
 from fedplan.trace import Span, TraceLog, export_jsonl, from_sim, validate_trace
 
 from conftest import FIXTURES, deadline
+from oracles import reference_from_sim
 
 NET = NetworkModel(rtt_ms=100, bandwidth_bytes_per_ms=100, parse_ms_per_kb=0)
 
@@ -275,3 +277,125 @@ _span = st.builds(
 def test_export_jsonl_equals_json_dumps_per_span(spans):
     log = TraceLog(spans=spans)
     assert export_jsonl(log) == "".join(json.dumps(s.to_json()) + "\n" for s in log.spans)
+
+
+_NAN_INTERVALS = [(_NAN, _NAN), (0.0, _NAN), (_NAN, 1.0)]
+
+
+@pytest.mark.parametrize("start, end", _NAN_INTERVALS)
+def test_record_rejects_a_nan_interval(start, end):
+    log = TraceLog()
+    with pytest.raises(ToolError) as err:
+        log.record("a", None, start, end)
+    assert err.value.code == "E-BAD-INTERVAL"
+    assert log.spans == []
+
+
+@pytest.mark.parametrize("start, end", _NAN_INTERVALS + [(0.0, _INF)])
+def test_record_rejects_a_child_of_a_nan_parent(start, end):
+    log = TraceLog(spans=[Span("t", "s1", None, "a", _NAN, _NAN, {})], _counter=1)
+    with pytest.raises(ToolError) as err:
+        log.record("b", "s1", start, end)
+    assert err.value.code == "E-BAD-INTERVAL"
+
+
+@pytest.mark.parametrize("start, end", _NAN_INTERVALS)
+def test_record_rejects_a_nan_child(start, end):
+    log = TraceLog()
+    log.record("a", None, 0.0, 10.0)
+    with pytest.raises(ToolError) as err:
+        log.record("b", "s1", start, end)
+    assert err.value.code == "E-BAD-INTERVAL"
+
+
+def test_validate_rejects_nan_intervals():
+    nan_root = TraceLog(
+        spans=[Span("t", "s1", None, "a", _NAN, _NAN, {}), Span("t", "s2", "s1", "b", 0.0, _INF, {})]
+    )
+    assert [(d.code, d.path) for d in validate_trace(nan_root)] == [
+        ("E-BAD-INTERVAL", "s1"),
+        ("E-BAD-INTERVAL", "s2"),
+    ]
+    nan_child = TraceLog(
+        spans=[Span("t", "s1", None, "a", 0.0, 10.0, {}), Span("t", "s2", "s1", "b", _NAN, 5.0, {})]
+    )
+    assert [(d.code, d.path) for d in validate_trace(nan_child)] == [
+        ("E-BAD-INTERVAL", "s2"),
+        ("E-BAD-INTERVAL", "s2"),
+    ]
+
+
+_READS = {
+    "spans": lambda log: log.spans,
+    "span": lambda log: log.span("s2"),
+    "record": lambda log: log.record("after", "s1", 0.0, 0.0),
+    "validate_trace": validate_trace,
+    "eq": lambda log: log == TraceLog(log.trace_id),
+    "repr": repr,
+}
+
+
+@pytest.mark.parametrize("read", list(_READS))
+def test_from_sim_builds_spans_on_first_read(read):
+    report = _report(LoadStrategy.PREFETCH, fixture="fig1_shared")
+    log = from_sim(report)
+    text = export_jsonl(log)
+    assert "spans" not in vars(log)  # exported from the timeline columns
+    _READS[read](log)
+    assert "spans" in vars(log)
+    assert log.spans[: 1 + 2 * report.request_count] == reference_from_sim(report)
+    assert log._counter == 1 + 2 * report.request_count + (read == "record")
+    assert export_jsonl(from_sim(report)) == text
+
+
+# Times and ints of two kinds. Plain ones, which the row template of
+# export_jsonl can write, repeat across columns so that rows share times.
+# Traps equal a plain value but are written differently, or are not finite.
+_plain_time = st.sampled_from([0.0, 0.1, 1.0, 2.5, 7.0, 5e-324, 1e300]) | st.floats(min_value=0.0, max_value=1e4)
+_trap_time = st.sampled_from([-0.0, 0, 1, 7, True, _Level.LOW, _INF, _NAN, -1.0])
+_plain_int = st.integers(min_value=0, max_value=3) | st.integers(min_value=-(2**80), max_value=2**80)
+_trap_int = st.booleans() | st.sampled_from(list(_Level))
+# Any object with a `value` stands in for a strategy: the trace id is built
+# from its value, which may need escaping in JSON or in a %-template.
+_strategy = st.sampled_from(list(LoadStrategy)) | st.builds(
+    SimpleNamespace, value=st.sampled_from(["%", "%s", "%d%%", "\u00e9\n\"", 5]) | _text
+)
+
+
+@st.composite
+def _sim_reports(draw):
+    plain = draw(st.booleans())
+    time = _plain_time if plain else _plain_time | _trap_time
+    number = _plain_int if plain else _plain_int | _trap_int
+    entries = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        times = draw(st.lists(time, min_size=3, max_size=3))
+        if draw(st.integers(min_value=0, max_value=4)):  # mostly ordered
+            times.sort()
+        start, done, parse_done = times
+        entries.append(TimelineEntry(draw(number), start, start, done, parse_done, draw(number)))
+    last = max((e.parse_done_ms for e in entries), default=0.0)
+    tti = draw(st.sampled_from([last, last, _INF, _NAN, -0.0, -1.0]) | time)
+    return SimReport(draw(_strategy), tti, tti, draw(number), len(entries), 1, 1, tuple(entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sim_reports())
+@example(_single_request_report(0.0, 5.0, 5.0, 5.0))
+@example(_single_request_report(-0.0, 0.0, 0.0, 1.0))
+@example(_single_request_report(0, 1, 2, 3))
+@example(_single_request_report(1.0, 2.0, 2.0, _INF))
+@example(SimReport(SimpleNamespace(value="%d"), 2.0, 2.0, 1, 1, 1, 1, (TimelineEntry(3, 0.5, 0.5, 1.0, 2.0, 9),)))
+def test_from_sim_projection_matches_the_eager_reference(report):
+    try:
+        expected = reference_from_sim(report)
+    except ToolError as exc:
+        with pytest.raises(ToolError) as err:
+            from_sim(report)
+        assert (err.value.code, err.value.message) == (exc.code, exc.message)
+        return
+    text = export_jsonl(from_sim(report))
+    assert text == "".join(json.dumps(s.to_json()) + "\n" for s in from_sim(report).spans)
+    built = from_sim(report)
+    assert built.spans == expected
+    assert export_jsonl(built) == text
